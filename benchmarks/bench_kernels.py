@@ -1,30 +1,15 @@
-"""Fused-kernel benchmarks: new batch paths vs the seed implementations.
+"""Fused-kernel benchmarks: the batch hash, update and query paths.
 
-The legacy reference implementations live in
-:mod:`repro.experiments.kernelbench` (pinned copies of the pre-kernel
-code); ``python -m repro.experiments.kernelbench --write`` regenerates
-the committed ``BENCH_kernels.json`` baseline that
-``scripts/check_perf.py`` guards.
+``python -m repro.experiments.kernelbench --write`` regenerates the
+committed ``BENCH_kernels.json`` baseline that ``scripts/check_perf.py``
+guards.
 """
 
 import numpy as np
 
 from repro.core import NitroSketch
-from repro.experiments.kernelbench import (
-    legacy_kwise_batch,
-    legacy_nitro_update_batch,
-    legacy_query_loop,
-    legacy_update_batch,
-)
 from repro.hashing.families import KWiseHash
 from repro.sketches import CountMinSketch, CountSketch
-
-
-def test_kwise_batch_legacy(benchmark, caida_keys):
-    """Seed object-dtype big-int four-wise hashing."""
-    hash_fn = KWiseHash(4, 102400, seed=11)
-    keys = caida_keys[:20_000]
-    benchmark(lambda: legacy_kwise_batch(hash_fn, keys))
 
 
 def test_kwise_batch_fused(benchmark, caida_keys):
@@ -33,22 +18,10 @@ def test_kwise_batch_fused(benchmark, caida_keys):
     benchmark(lambda: hash_fn.batch(caida_keys))
 
 
-def test_countmin_update_batch_legacy(benchmark, caida_keys):
-    """Seed per-row ``np.add.at`` Count-Min batch updates."""
-    sketch = CountMinSketch(5, 102400, seed=21)
-    benchmark(lambda: legacy_update_batch(sketch, caida_keys))
-
-
 def test_countmin_update_batch_fused(benchmark, caida_keys):
     """Fused flat-index Count-Min batch updates."""
     sketch = CountMinSketch(5, 102400, seed=21)
     benchmark(lambda: sketch.update_batch(caida_keys))
-
-
-def test_countsketch_update_batch_legacy(benchmark, caida_keys):
-    """Seed per-row signed batch updates."""
-    sketch = CountSketch(5, 102400, seed=22)
-    benchmark(lambda: legacy_update_batch(sketch, caida_keys))
 
 
 def test_countsketch_update_batch_fused(benchmark, caida_keys):
@@ -57,24 +30,10 @@ def test_countsketch_update_batch_fused(benchmark, caida_keys):
     benchmark(lambda: sketch.update_batch(caida_keys))
 
 
-def test_nitro_update_batch_legacy(benchmark, caida_keys):
-    """Seed NitroSketch batch path: per-row masks + scalar top-k offers."""
-    nitro = NitroSketch(CountSketch(5, 102400, seed=31), probability=0.01, top_k=100)
-    benchmark(lambda: legacy_nitro_update_batch(nitro, caida_keys))
-
-
 def test_nitro_update_batch_fused(benchmark, caida_keys):
     """Fused NitroSketch batch path: slot kernel + ``query_batch`` offers."""
     nitro = NitroSketch(CountSketch(5, 102400, seed=31), probability=0.01, top_k=100)
     benchmark(lambda: nitro.update_batch(caida_keys))
-
-
-def test_query_batch_legacy(benchmark, caida_keys):
-    """Per-key scalar point queries (seed heavy-hitter report path)."""
-    sketch = CountSketch(5, 102400, seed=41)
-    sketch.update_batch(caida_keys)
-    probe = np.unique(caida_keys)[:2_000]
-    benchmark(lambda: legacy_query_loop(sketch, probe))
 
 
 def test_query_batch_fused(benchmark, caida_keys):

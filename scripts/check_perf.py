@@ -1,44 +1,29 @@
 #!/usr/bin/env python
-"""Guard the fused-kernel throughput against the committed baseline.
+"""Guard the kernel throughput and the overhead ratios against their gates.
 
 Usage:  PYTHONPATH=src python scripts/check_perf.py [--update] [--factor F]
+                                                    [--skip NAME ...]
 
-Re-runs :mod:`repro.experiments.kernelbench` and compares each bench's
-``fused_rate`` against ``BENCH_kernels.json``.  A bench failing to reach
-``factor`` (default 0.7, i.e. a >30% regression) of its baseline rate
-fails the check, as does missing either of the kernel-layer speedup
-gates (kwise >= 5x over the object-dtype path, NitroSketch batch >= 2x
-end-to-end), the telemetry-overhead ceiling (a live Telemetry sink on
-the batch update path must cost <= 10% over NULL_TELEMETRY), or the
-audit-overhead ceiling (a live shadow auditor riding the batch ingest
-path must cost <= 10% over an unaudited run), or the checkpoint-overhead
-ceiling (periodic crash-safety checkpoints at the default cadence must
-cost <= 10% over a daemon that never checkpoints), or the
-verify-overhead ceiling (the *disabled* invariant hook on the batch
-update path must cost <= 5% over calling the implementation directly),
-or the tracing-overhead ceiling (the full observability stack -- live
-telemetry, span tracer, and the stage profiler at its default sampling
-cadence -- must cost <= 10% over the bare ingest path), or the
-alert-overhead ceiling (the alert plane -- sketch-driven anomaly
-detectors observing each epoch plus the default rule set evaluated at
-every epoch boundary -- must cost <= 10% over bare ingest), or the
-windowed-ingest ceiling (batched ingest through a SlidingWindowMonitor,
-epoch rotations included, must cost <= 15% over updating the wrapped
-sketch directly), or the served-ingest ceiling (the same batches framed
-over loopback TCP through a live MonitoringService -- asyncio reader,
-tenant queue, drainer coroutine, sync barrier -- must cost <= 15% over
-in-process MeasurementDaemon ingest).  ``--update`` rewrites the
-baseline from this run instead.
+Every check prints one row; any miss fails the run:
 
-The parallel-scaling gate additionally runs the real multiprocess
-engine (shared-memory CountMin banks, 1 and 4 workers) and requires the
-4-worker aggregate CPU-clock rate to reach ``PARALLEL_SCALING_FLOOR``
-(2.5x) of the 1-worker rate -- the committed ``BENCH_parallel.json``
-must show the same.  Comparisons that need real parallel hardware (the
-4-worker aggregate vs the single-core ``countmin_update_batch``
-baseline, and wall-clock scaling) only run when the host has >= 4 CPUs:
-on fewer CPUs the workers time-slice and those numbers measure the
-scheduler, not the engine.
+* rate floors -- each bench :func:`repro.experiments.kernelbench.run`
+  times must reach ``factor`` (default 0.7, i.e. a >30% regression
+  fails) of its ``fused_rate`` in ``BENCH_kernels.json``.  Rates are
+  only comparable on one host, so the baseline's host is printed next
+  to the current one;
+* overhead ceilings -- each row of :data:`kernelbench.GATES` times an
+  instrumented ingest path against its bare twin and bounds the ratio;
+* parallel scaling -- the real multiprocess engine (shared-memory
+  CountMin banks, 1 and 4 workers) must reach ``PARALLEL_SCALING_FLOOR``
+  (2.5x) aggregate CPU-clock scaling, and the committed
+  ``BENCH_parallel.json`` must show the same.  Comparisons that need
+  real parallel hardware (the 4-worker aggregate vs the single-core
+  ``countmin_update_batch`` baseline, and wall-clock scaling) only run
+  when the host has >= 4 CPUs: on fewer CPUs the workers time-slice and
+  those numbers measure the scheduler, not the engine.
+
+``--skip NAME`` (repeatable) skips one overhead gate or ``parallel``.
+``--update`` rewrites the baseline from this run instead of checking.
 """
 
 from __future__ import annotations
@@ -59,8 +44,21 @@ PARALLEL_BASELINE = os.path.join(
 PARALLEL_ATTEMPTS = 3
 
 
-def parallel_scaling_gate(args) -> list:
-    """The multiprocess-engine scaling gate; returns failure strings."""
+def check(failures, label, detail, passed, failure, miss="GATE MISSED", suffix=""):
+    """Print one gate row; on a miss, record ``failure`` for the summary."""
+    print("%-32s %s  %s%s" % (label, detail, "ok" if passed else miss, suffix))
+    if not passed:
+        failures.append(failure)
+
+
+def describe_host(host) -> str:
+    if not host:
+        return "unrecorded"
+    return "%(cpus)d CPU(s), %(cpu_model)s, Python %(python)s, numpy %(numpy)s" % host
+
+
+def parallel_scaling_gate(args, failures) -> None:
+    """The multiprocess-engine scaling gate."""
     from repro.experiments.parallel_scaling import (
         BATCH_SIZE,
         PARALLEL_SCALING_FLOOR,
@@ -72,7 +70,7 @@ def parallel_scaling_gate(args) -> list:
     )
     from repro.traffic.traces import caida_like
 
-    failures = []
+    floor = PARALLEL_SCALING_FLOOR
 
     # 1. The committed baseline must exist and itself clear the floor.
     try:
@@ -81,29 +79,25 @@ def parallel_scaling_gate(args) -> list:
         recorded = committed["configs"]["shared-countmin"]["workers"]["4"][
             "scaling_x"
         ]
-        status = "ok" if recorded >= PARALLEL_SCALING_FLOOR else "GATE MISSED"
-        print(
-            "%-32s committed scaling %.2fx (gate %.1fx)  %s"
-            % ("parallel_baseline", recorded, PARALLEL_SCALING_FLOOR, status)
-        )
-        if recorded < PARALLEL_SCALING_FLOOR:
-            failures.append(
-                "BENCH_parallel.json records %.2fx 4-worker scaling, below "
-                "the %.1fx gate" % (recorded, PARALLEL_SCALING_FLOOR)
-            )
     except (FileNotFoundError, KeyError) as error:
         failures.append(
             "BENCH_parallel.json missing or malformed (%r) -- run "
             "python -m repro.experiments.parallel_scaling --write" % error
         )
-        return failures
+        return
+    check(
+        failures,
+        "parallel_baseline",
+        "committed scaling %.2fx (gate %.1fx)" % (recorded, floor),
+        recorded >= floor,
+        "BENCH_parallel.json records %.2fx 4-worker scaling, below the %.1fx "
+        "gate" % (recorded, floor),
+    )
 
     reason = parallel_unavailable_reason()
     if reason:
-        print(
-            "%-32s live gate skipped: %s" % ("parallel_scaling", reason)
-        )
-        return failures
+        print("%-32s live gate skipped: %s" % ("parallel_scaling", reason))
+        return
 
     # 2. Live: 4-worker aggregate CPU-clock rate vs 1-worker, same trace.
     # 800k packets: short traces leave each worker too few batches for a
@@ -125,85 +119,61 @@ def parallel_scaling_gate(args) -> list:
         ratio = four.speedup_vs(one)
         if ratio > best_ratio:
             best_ratio, single, quad = ratio, one, four
-        if best_ratio >= PARALLEL_SCALING_FLOOR:
+        if best_ratio >= floor:
             break
-    status = "ok" if best_ratio >= PARALLEL_SCALING_FLOOR else "GATE MISSED"
-    print(
-        "%-32s 1w %6.2f -> 4w %6.2f agg-cpu Mpps, %.2fx (gate %.1fx)  %s"
-        % (
-            "parallel_scaling",
-            single.aggregate_cpu_mpps,
-            quad.aggregate_cpu_mpps,
-            best_ratio,
-            PARALLEL_SCALING_FLOOR,
-            status,
-        )
+    rates = (single.aggregate_cpu_mpps, quad.aggregate_cpu_mpps)
+    check(
+        failures,
+        "parallel_scaling",
+        "1w %6.2f -> 4w %6.2f agg-cpu Mpps, %.2fx (gate %.1fx)"
+        % (rates + (best_ratio, floor)),
+        best_ratio >= floor,
+        "parallel scaling %.2fx below the %.1fx gate (1w %.2f, 4w %.2f "
+        "aggregate CPU-clock Mpps)" % ((best_ratio, floor) + rates),
     )
-    if best_ratio < PARALLEL_SCALING_FLOOR:
-        failures.append(
-            "parallel scaling %.2fx below the %.1fx gate (1w %.2f, 4w %.2f "
-            "aggregate CPU-clock Mpps)"
-            % (
-                best_ratio,
-                PARALLEL_SCALING_FLOOR,
-                single.aggregate_cpu_mpps,
-                quad.aggregate_cpu_mpps,
-            )
-        )
 
     # 3. Absolute comparisons need >= 4 real CPUs to mean anything.
     host_cpus = os.cpu_count() or 1
-    if host_cpus >= 4:
-        try:
-            with open(BASELINE) as handle:
-                kernels = json.load(handle)
-            single_core = kernels["benches"]["countmin_update_batch"][
-                "fused_rate"
-            ]
-        except (FileNotFoundError, KeyError):
-            single_core = None
-        if single_core is not None:
-            floor = PARALLEL_SCALING_FLOOR * single_core * args.factor
-            rate = quad.aggregate_cpu_mpps
-            status = "ok" if rate >= floor else "GATE MISSED"
-            print(
-                "%-32s 4w %6.2f vs single-core %6.2f Mpps, floor %6.2f  %s"
-                % ("parallel_vs_kernel", rate, single_core, floor, status)
-            )
-            if rate < floor:
-                failures.append(
-                    "4-worker aggregate %.2f Mpps below %.2f (%.1fx the "
-                    "single-core countmin baseline %.2f x factor %.2f)"
-                    % (
-                        rate,
-                        floor,
-                        PARALLEL_SCALING_FLOOR,
-                        single_core,
-                        args.factor,
-                    )
-                )
-        wall_ratio = (
-            quad.wall_mpps / single.wall_mpps if single.wall_mpps > 0 else 0.0
-        )
-        status = "ok" if wall_ratio >= 2.0 else "GATE MISSED"
-        print(
-            "%-32s wall %.2fx at 4 workers (gate 2.0x, %d CPUs)  %s"
-            % ("parallel_wall_scaling", wall_ratio, host_cpus, status)
-        )
-        if wall_ratio < 2.0:
-            failures.append(
-                "wall-clock scaling %.2fx below 2.0x on a %d-CPU host"
-                % (wall_ratio, host_cpus)
-            )
-    else:
+    if host_cpus < 4:
         print(
             "%-32s absolute/wall gates skipped (host has %d CPU(s) < 4: "
             "workers time-slice)" % ("parallel_vs_kernel", host_cpus)
         )
-    return failures
+        return
+    try:
+        with open(BASELINE) as handle:
+            kernels = json.load(handle)
+        single_core = kernels["benches"]["countmin_update_batch"]["fused_rate"]
+    except (FileNotFoundError, KeyError):
+        single_core = None
+    if single_core is not None:
+        rate_floor = floor * single_core * args.factor
+        rate = quad.aggregate_cpu_mpps
+        check(
+            failures,
+            "parallel_vs_kernel",
+            "4w %6.2f vs single-core %6.2f Mpps, floor %6.2f"
+            % (rate, single_core, rate_floor),
+            rate >= rate_floor,
+            "4-worker aggregate %.2f Mpps below %.2f (%.1fx the single-core "
+            "countmin baseline %.2f x factor %.2f)"
+            % (rate, rate_floor, floor, single_core, args.factor),
+        )
+    wall_ratio = quad.wall_mpps / single.wall_mpps if single.wall_mpps > 0 else 0.0
+    check(
+        failures,
+        "parallel_wall_scaling",
+        "wall %.2fx at 4 workers (gate 2.0x, %d CPUs)" % (wall_ratio, host_cpus),
+        wall_ratio >= 2.0,
+        "wall-clock scaling %.2fx below 2.0x on a %d-CPU host"
+        % (wall_ratio, host_cpus),
+    )
 
 
 def main(argv=None) -> int:
+    from repro.experiments import kernelbench
+
+    gate_names = [gate.name for gate in kernelbench.GATES] + ["parallel"]
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--update", action="store_true", help="rewrite BENCH_kernels.json from this run"
@@ -217,267 +187,79 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--skip-telemetry",
-        action="store_true",
-        help="skip the telemetry-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-audit",
-        action="store_true",
-        help="skip the audit-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-checkpoint",
-        action="store_true",
-        help="skip the checkpoint-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-verify",
-        action="store_true",
-        help="skip the verify-hook-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-parallel",
-        action="store_true",
-        help="skip the multiprocess-engine scaling gate",
-    )
-    parser.add_argument(
-        "--skip-alerts",
-        action="store_true",
-        help="skip the alert-plane-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-tracing",
-        action="store_true",
-        help="skip the tracing/profiling-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-windows",
-        action="store_true",
-        help="skip the windowed-ingest-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-service",
-        action="store_true",
-        help="skip the served-ingest-overhead gate",
+        "--skip",
+        action="append",
+        default=[],
+        choices=gate_names,
+        metavar="NAME",
+        help="skip one gate (repeatable): %s" % ", ".join(gate_names),
     )
     args = parser.parse_args(argv)
-
-    skipped = [
-        gate
-        for gate, skip in (
-            ("telemetry", args.skip_telemetry),
-            ("audit", args.skip_audit),
-            ("checkpoint", args.skip_checkpoint),
-            ("verify", args.skip_verify),
-            ("parallel", args.skip_parallel),
-            ("tracing", args.skip_tracing),
-            ("alerts", args.skip_alerts),
-            ("windows", args.skip_windows),
-            ("service", args.skip_service),
-        )
-        if skip
-    ]
-    print("host: %d CPU(s)" % (os.cpu_count() or 1))
-
-    from repro.experiments import kernelbench
-
-    result = kernelbench.run(scale=args.scale, repeats=args.repeats)
-    current = kernelbench.payload(result)
-
-    if args.update:
-        kernelbench.write_baseline(os.path.abspath(BASELINE), result=result)
-        print("updated %s" % os.path.abspath(BASELINE))
-        return 0
 
     try:
         with open(BASELINE) as handle:
             baseline = json.load(handle)
     except FileNotFoundError:
+        baseline = None
+    print(
+        "host: %s (baseline: %s)"
+        % (
+            describe_host(kernelbench.host_info()),
+            describe_host(baseline and baseline.get("host")),
+        )
+    )
+
+    result = kernelbench.run(scale=args.scale, repeats=args.repeats)
+    if args.update:
+        kernelbench.write_baseline(os.path.abspath(BASELINE), result=result)
+        print("updated %s" % os.path.abspath(BASELINE))
+        return 0
+    if baseline is None:
         print("no baseline at %s -- run with --update first" % BASELINE)
         return 1
 
     failures = []
+    current = kernelbench.payload(result)["benches"]
     for name, base in sorted(baseline["benches"].items()):
-        now = current["benches"].get(name)
+        now = current.get(name)
         if now is None:
             failures.append("%s: bench disappeared from kernelbench" % name)
             continue
         floor = base["fused_rate"] * args.factor
-        status = "ok" if now["fused_rate"] >= floor else "REGRESSION"
-        print(
-            "%-32s baseline %8.2f  now %8.2f  floor %8.2f  %s (%s)"
-            % (name, base["fused_rate"], now["fused_rate"], floor, status, base["unit"])
+        check(
+            failures,
+            name,
+            "baseline %8.2f  now %8.2f  floor %8.2f"
+            % (base["fused_rate"], now["fused_rate"], floor),
+            now["fused_rate"] >= floor,
+            "%s: %.2f < %.2f (%.0f%% of baseline %.2f)"
+            % (name, now["fused_rate"], floor, 100 * args.factor, base["fused_rate"]),
+            miss="REGRESSION",
+            suffix=" (%s)" % base["unit"],
         )
-        if now["fused_rate"] < floor:
-            failures.append(
-                "%s: %.2f < %.2f (%.0f%% of baseline %.2f)"
-                % (name, now["fused_rate"], floor, 100 * args.factor, base["fused_rate"])
-            )
 
-    gates = [
-        ("kwise4_batch_hash", kernelbench.KWISE_SPEEDUP_FLOOR),
-        ("nitro_countsketch_update_batch", kernelbench.NITRO_SPEEDUP_FLOOR),
-    ]
-    for name, floor in gates:
-        speedup = current["benches"][name]["speedup"]
-        status = "ok" if speedup >= floor else "GATE MISSED"
-        print("%-32s speedup %.2fx (gate %.1fx)  %s" % (name, speedup, floor, status))
-        if speedup < floor:
-            failures.append("%s: speedup %.2fx below gate %.1fx" % (name, speedup, floor))
-
-    if not args.skip_telemetry:
-        ceiling = kernelbench.TELEMETRY_OVERHEAD_CEILING
-        overhead = kernelbench.telemetry_overhead(
-            scale=args.scale, repeats=args.repeats
-        )
-        ratio = overhead["ratio"]
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s live/null %.3fx (ceiling %.2fx)  %s"
-            % ("telemetry_update_batch", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "telemetry overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
-
-    if not args.skip_audit:
-        ceiling = kernelbench.AUDIT_OVERHEAD_CEILING
-        overhead = kernelbench.audit_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s audited/bare %.3fx (ceiling %.2fx)  %s"
-            % ("audit_update_batch", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "audit overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
-
-    if not args.skip_checkpoint:
-        ceiling = kernelbench.CHECKPOINT_OVERHEAD_CEILING
-        overhead = kernelbench.checkpoint_overhead(
-            scale=args.scale, repeats=args.repeats
-        )
-        ratio = overhead["ratio"]
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s checkpointed/bare %.3fx (ceiling %.2fx)  %s"
-            % ("checkpoint_ingest", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "checkpoint overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
-
-    if not args.skip_verify:
-        ceiling = kernelbench.VERIFY_OVERHEAD_CEILING
-        overhead = kernelbench.verify_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        if ratio > ceiling:
-            # The hook's true cost is one attribute test per batch; a
-            # ratio over the ceiling on a loaded box is noise, so
-            # measure once more and take the better of the two.
-            retry = kernelbench.verify_overhead(scale=args.scale, repeats=args.repeats)
+    for gate in kernelbench.GATES:
+        if gate.name in args.skip:
+            continue
+        ratio = gate.measure(scale=args.scale, repeats=args.repeats)["ratio"]
+        if gate.retry and ratio > gate.ceiling:
+            retry = gate.measure(scale=args.scale, repeats=args.repeats)
             ratio = min(ratio, retry["ratio"])
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s hooked/direct %.3fx (ceiling %.2fx)  %s"
-            % ("verify_hook_update_batch", ratio, ceiling, status)
+        check(
+            failures,
+            gate.label,
+            "%s %.3fx (ceiling %.2fx)" % (gate.ratio_label, ratio, gate.ceiling),
+            ratio <= gate.ceiling,
+            "%s overhead %.3fx exceeds ceiling %.2fx"
+            % (gate.subject, ratio, gate.ceiling),
+            miss="TOO EXPENSIVE",
         )
-        if ratio > ceiling:
-            failures.append(
-                "verify-hook overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
 
-    if not args.skip_tracing:
-        ceiling = kernelbench.TRACING_OVERHEAD_CEILING
-        overhead = kernelbench.tracing_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        if ratio > ceiling:
-            # Stage timers and span bookkeeping cost microseconds per
-            # batch; a ratio over the ceiling on a loaded box is noise,
-            # so measure once more and take the better of the two.
-            retry = kernelbench.tracing_overhead(scale=args.scale, repeats=args.repeats)
-            ratio = min(ratio, retry["ratio"])
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s traced/bare %.3fx (ceiling %.2fx)  %s"
-            % ("tracing_update_batch", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "tracing overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
+    if "parallel" not in args.skip:
+        parallel_scaling_gate(args, failures)
 
-    if not args.skip_alerts:
-        ceiling = kernelbench.ALERT_OVERHEAD_CEILING
-        overhead = kernelbench.alert_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        if ratio > ceiling:
-            # One epoch's detector pass costs half a millisecond; on a
-            # loaded box that can read as over-ceiling noise, so measure
-            # once more and take the better of the two.
-            retry = kernelbench.alert_overhead(scale=args.scale, repeats=args.repeats)
-            ratio = min(ratio, retry["ratio"])
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s alerted/bare %.3fx (ceiling %.2fx)  %s"
-            % ("alert_update_batch", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "alert overhead %.3fx exceeds ceiling %.2fx" % (ratio, ceiling)
-            )
-
-    if not args.skip_windows:
-        ceiling = kernelbench.WINDOW_OVERHEAD_CEILING
-        overhead = kernelbench.window_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        if ratio > ceiling:
-            # The window adds one comparison per batch and a counter
-            # reset per rotation; over-ceiling readings on a loaded box
-            # are noise, so measure once more and take the better.
-            retry = kernelbench.window_overhead(scale=args.scale, repeats=args.repeats)
-            ratio = min(ratio, retry["ratio"])
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s windowed/bare %.3fx (ceiling %.2fx)  %s"
-            % ("window_update_batch", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "windowed-ingest overhead %.3fx exceeds ceiling %.2fx"
-                % (ratio, ceiling)
-            )
-
-    if not args.skip_service:
-        ceiling = kernelbench.SERVICE_OVERHEAD_CEILING
-        overhead = kernelbench.service_overhead(scale=args.scale, repeats=args.repeats)
-        ratio = overhead["ratio"]
-        if ratio > ceiling:
-            # The served side rides a second thread (asyncio drain), so
-            # scheduler contention on a loaded box can read as
-            # over-ceiling noise; measure once more and take the better.
-            retry = kernelbench.service_overhead(scale=args.scale, repeats=args.repeats)
-            ratio = min(ratio, retry["ratio"])
-        status = "ok" if ratio <= ceiling else "TOO EXPENSIVE"
-        print(
-            "%-32s served/direct %.3fx (ceiling %.2fx)  %s"
-            % ("service_ingest", ratio, ceiling, status)
-        )
-        if ratio > ceiling:
-            failures.append(
-                "served-ingest overhead %.3fx exceeds ceiling %.2fx"
-                % (ratio, ceiling)
-            )
-
-    if not args.skip_parallel:
-        failures.extend(parallel_scaling_gate(args))
-
-    if skipped:
+    if args.skip:
+        skipped = [name for name in gate_names if name in args.skip]
         print("\nskipped gates: %s" % ", ".join(skipped))
     if failures:
         print("\nperformance check FAILED:")

@@ -445,10 +445,7 @@ class KAryChangeMonitor:
         self.inner.update(key, weight, timestamp=timestamp)
 
     def update_batch(self, keys, weights=None, duration_seconds=None) -> None:
-        try:
-            self.inner.update_batch(keys, weights, duration_seconds=duration_seconds)
-        except TypeError:
-            self.inner.update_batch(keys, weights)
+        self.inner.update_batch(keys, weights, duration_seconds=duration_seconds)
 
     def query(self, key: int) -> float:
         return self.inner.query(key)

@@ -1,183 +1,42 @@
-"""Kernel-layer benchmark: fused batch paths vs the seed implementations.
+"""Kernel-layer benchmark and the overhead-gate table.
 
-The fused kernels (:mod:`repro.kernels`) replaced three hot paths:
+The fused kernels (:mod:`repro.kernels`) run three hot paths:
 
-* ``KWiseHash.batch`` -- object-dtype Python big-int polynomial
-  evaluation -> native ``uint64`` Mersenne-61 arithmetic;
-* ``CanonicalSketch.update_batch`` -- per-row Python loop with one
-  ``np.add.at`` scatter per row -> one broadcast hash over every row
+* ``KWiseHash.batch`` -- native ``uint64`` Mersenne-61 polynomial
+  evaluation;
+* ``CanonicalSketch.update_batch`` -- one broadcast hash over every row
   plus a single flat-index scatter;
-* ``NitroSketch.update_batch`` -- per-row mask loop plus *scalar*
-  top-k query offers -> fused slot kernel plus ``query_batch``.
+* ``NitroSketch.update_batch`` -- fused slot kernel plus
+  ``query_batch`` top-k offers.
 
-This module keeps faithful copies of the seed implementations (pinned
-below, verbatim from the pre-kernel revision) and times both sides on
-the same CAIDA-like workload.  ``python -m repro.experiments.kernelbench``
-writes the machine-readable ``BENCH_kernels.json`` baseline that
-``scripts/check_perf.py`` regresses against.
+:func:`run` times them (and batch point queries) on a CAIDA-like
+workload; ``python -m repro.experiments.kernelbench --write`` records
+the rates, with the host they ran on, in the ``BENCH_kernels.json``
+baseline that ``scripts/check_perf.py`` regresses against.
+
+:data:`GATES` is the table of overhead gates ``scripts/check_perf.py``
+runs: each row times an instrumented ingest path against its bare twin
+in the same run and bounds their ratio.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core import NitroSketch
 from repro.experiments.report import ExperimentResult, print_result
-from repro.hashing.families import MERSENNE_PRIME_61, KWiseHash
+from repro.hashing.families import KWiseHash
 from repro.sketches import CountMinSketch, CountSketch
 from repro.traffic import caida_like
 
 #: Shapes match the paper's Section-7 Count Sketch configuration.
 DEPTH, WIDTH = 5, 102400
-
-#: Minimum speedups the kernel layer must deliver (acceptance gates).
-KWISE_SPEEDUP_FLOOR = 5.0
-NITRO_SPEEDUP_FLOOR = 2.0
-
-#: Enabling a real Telemetry sink on the batch update path may cost at
-#: most this factor versus the default NULL_TELEMETRY no-op sink.
-TELEMETRY_OVERHEAD_CEILING = 1.10
-
-#: Running a live shadow auditor alongside the batch ingest path may
-#: cost at most this factor versus an unaudited NULL_TELEMETRY run.
-AUDIT_OVERHEAD_CEILING = 1.10
-
-#: Periodic crash-safety checkpoints (serialize + atomic write + fsync)
-#: at the default cadence may cost at most this factor versus a daemon
-#: that never checkpoints.
-CHECKPOINT_OVERHEAD_CEILING = 1.10
-
-#: The *disabled* invariant hook (one ``is not None`` attribute test per
-#: ``update_batch`` call) may cost at most this factor versus calling
-#: the batch implementation directly with no hook dispatch at all.
-VERIFY_OVERHEAD_CEILING = 1.05
-
-#: Full tracing instrumentation -- a live Telemetry sink, the span
-#: tracer, and a StageProfiler at its default sampling cadence -- may
-#: cost at most this factor versus the bare NULL_TELEMETRY/NULL_PROFILER
-#: ingest path.
-TRACING_OVERHEAD_CEILING = 1.10
-
-#: The alert plane at its default cadence -- sketch-driven anomaly
-#: detectors observing every epoch plus an AlertManager evaluating the
-#: default rule set -- may cost at most this factor versus bare ingest.
-ALERT_OVERHEAD_CEILING = 1.10
-
-#: Routing batched ingest through a :class:`SlidingWindowMonitor` --
-#: the boundary check per batch, epoch rotations (recycle + reset) at
-#: the default cadence, and merged-view cache invalidation -- may cost
-#: at most this factor versus updating the wrapped sketch directly.
-WINDOW_OVERHEAD_CEILING = 1.15
-
-#: Serving ingest over the wire -- client-side frame encode, loopback
-#: TCP, the asyncio reader, header/key decode, per-tenant queue and the
-#: drainer coroutine -- may cost at most this factor versus the same
-#: batches ingested in-process through ``MeasurementDaemon.ingest``.
-SERVICE_OVERHEAD_CEILING = 1.15
-
-
-# -- seed (pre-kernel) reference implementations ---------------------------
-
-
-def legacy_kwise_batch(hash_fn: KWiseHash, keys: "np.ndarray") -> "np.ndarray":
-    """The seed ``KWiseHash.batch``: object-dtype big-int Horner loop."""
-    ks = np.asarray(keys, dtype=object) % MERSENNE_PRIME_61
-    acc = np.zeros(ks.shape, dtype=object)
-    for coeff in reversed(hash_fn._coeffs):
-        acc = (acc * ks + coeff) % MERSENNE_PRIME_61
-    return (acc % hash_fn.width).astype(np.int64)
-
-
-def legacy_update_batch(sketch, keys: "np.ndarray", weights=None) -> None:
-    """The seed ``CanonicalSketch.update_batch``: per-row ``np.add.at``."""
-    keys = np.asarray(keys)
-    if weights is None:
-        weights = np.ones(keys.shape, dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-    sketch.ops.packet(len(keys))
-    for row in range(sketch.depth):
-        sketch.ops.hash(len(keys))
-        buckets = sketch.row_hashes[row].batch(keys)
-        if sketch.signed:
-            signs = sketch.row_signs[row].batch(keys)
-            np.add.at(sketch.counters[row], buckets, weights * signs)
-        else:
-            np.add.at(sketch.counters[row], buckets, weights)
-        sketch.ops.counter_update(len(keys))
-
-
-def legacy_nitro_update_batch(nitro: NitroSketch, keys: "np.ndarray", weights=None) -> None:
-    """The seed ``NitroSketch.update_batch`` sampled path.
-
-    Per-row mask loop over the sampled slots, then one *scalar*
-    ``sketch.query`` per distinct sampled key for the top-k offers --
-    the dominant cost the fused path removes.
-    """
-    from repro.core.geometric import geometric_positions
-
-    keys = np.asarray(keys)
-    count = len(keys)
-    if count == 0:
-        return
-    nitro.packets_seen += count
-    nitro.ops.packet(count)
-
-    probability = nitro.sampler.probability
-    depth = nitro.sketch.depth
-    total_slots = count * depth
-    if nitro._pending >= total_slots:
-        nitro._pending -= total_slots
-        return
-    first = nitro._pending
-    tail, leftover = geometric_positions(
-        probability, total_slots - first - 1, nitro._batch_rng
-    )
-    positions = np.concatenate([np.array([first], dtype=np.int64), first + 1 + tail])
-    nitro._pending = leftover
-    nitro.ops.prng(len(positions))
-
-    packet_idx = positions // depth
-    rows = positions % depth
-    inverse = 1.0 / probability
-    if weights is None:
-        slot_weights = np.full(positions.shape, inverse, dtype=np.float64)
-    else:
-        slot_weights = np.asarray(weights, dtype=np.float64)[packet_idx] * inverse
-
-    sampled_keys = keys[packet_idx]
-    nitro.sketch.note_batch_mass(float(np.sum(slot_weights)))
-    sketch = nitro.sketch
-    for row in range(depth):
-        mask = rows == row
-        if not np.any(mask):
-            continue
-        row_keys = sampled_keys[mask]
-        nitro.ops.hash(len(row_keys))
-        buckets = sketch.row_hashes[row].batch(row_keys)
-        if sketch.signed:
-            signs = sketch.row_signs[row].batch(row_keys)
-            np.add.at(sketch.counters[row], buckets, slot_weights[mask] * signs)
-        else:
-            np.add.at(sketch.counters[row], buckets, slot_weights[mask])
-        nitro.ops.counter_update(len(row_keys))
-
-    sampled_packets = int(np.unique(packet_idx).size)
-    nitro.packets_sampled += sampled_packets
-    if nitro.topk is not None:
-        unique_keys = np.unique(sampled_keys)
-        nitro.ops.table_lookup(max(sampled_packets - len(unique_keys), 0))
-        for key in unique_keys.tolist():
-            nitro.topk.offer(int(key), nitro.sketch.query(int(key)))
-
-
-def legacy_query_loop(sketch, keys: "np.ndarray") -> "np.ndarray":
-    """Per-key scalar point queries (what heavy-hitter reports used)."""
-    return np.array([sketch.query(int(key)) for key in keys], dtype=np.float64)
 
 
 # -- timing harness --------------------------------------------------------
@@ -192,80 +51,99 @@ def _best_time(fn: Callable[[], None], repeats: int) -> float:
     return best
 
 
+def _interleaved_best(
+    bare_pass: Callable[[], None], gated_pass: Callable[[], None], rounds: int
+) -> Tuple[float, float]:
+    """Best-of times of two passes, timed in alternating rounds.
+
+    One warm-up round first (hash caches, allocator, branch
+    predictors).  Alternating the passes, rather than timing them in two
+    sequential blocks, lets machine-load drift during the run move both
+    sides alike instead of biasing the ratio.
+    """
+    bare_pass()
+    gated_pass()
+    bare_seconds = gated_seconds = float("inf")
+    for _ in range(rounds):
+        bare_seconds = min(bare_seconds, _best_time(bare_pass, 1))
+        gated_seconds = min(gated_seconds, _best_time(gated_pass, 1))
+    return bare_seconds, gated_seconds
+
+
+def _trace_keys(
+    scale: float, seed: int, floor: int = 10_000, full: int = 200_000
+) -> "np.ndarray":
+    """Keys of the shared CAIDA-like trace: ``full * scale``, >= ``floor`` packets."""
+    n = max(floor, int(full * scale))
+    return caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1).keys
+
+
+def _chunked(keys: "np.ndarray", chunk: int) -> List["np.ndarray"]:
+    """``keys`` cut into ``chunk``-packet batches.
+
+    Overhead gates feed batches, not one giant call, so per-batch
+    instrumentation cost is exercised rather than amortised away.
+    """
+    return [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+
+
+def host_info() -> Dict:
+    """The machine a measurement ran on (rates are only comparable on one)."""
+    cpu_model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu_model,
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+# -- kernel throughput -----------------------------------------------------
+
+
 def run(scale: float = 1.0, seed: int = 0, repeats: int = 3) -> ExperimentResult:
-    """Time legacy vs fused on each replaced hot path.
+    """Time each fused hot path.
 
     Rates are millions of keys (or packets) per second over a shared
-    CAIDA-like trace; ``speedup`` is fused over legacy.
+    CAIDA-like trace, best of ``repeats``.
     """
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
+    keys = _trace_keys(scale, seed)
+    n = len(keys)
     result = ExperimentResult(
         name="kernelbench",
         description=(
-            "Fused batch kernels vs the seed implementations "
-            "(%d-packet CAIDA-like trace, best of %d)" % (n, repeats)
+            "Fused batch kernels (%d-packet CAIDA-like trace, best of %d)"
+            % (n, repeats)
         ),
     )
 
-    def bench(name, unit, count, legacy_fn, fused_fn):
-        legacy_s = _best_time(legacy_fn, repeats)
-        fused_s = _best_time(fused_fn, repeats)
-        row = {
-            "bench": name,
-            "unit": unit,
-            "legacy_rate": count / legacy_s / 1e6,
-            "fused_rate": count / fused_s / 1e6,
-            "speedup": legacy_s / fused_s,
-        }
-        result.rows.append(row)
-        return row
+    def bench(name, unit, count, fn):
+        rate = count / _best_time(fn, repeats) / 1e6
+        result.rows.append({"bench": name, "unit": unit, "fused_rate": rate})
 
     # 1. Four-wise polynomial hashing (UnivMon samplers, SignHash).
     kwise = KWiseHash(4, WIDTH, seed=seed + 11)
-    kwise_row = bench(
-        "kwise4_batch_hash",
-        "Mkeys/s",
-        len(keys),
-        lambda: legacy_kwise_batch(kwise, keys),
-        lambda: kwise.batch(keys),
-    )
+    bench("kwise4_batch_hash", "Mkeys/s", n, lambda: kwise.batch(keys))
 
     # 2. Whole-sketch vanilla batch updates (unsigned and signed).
-    cm_legacy = CountMinSketch(DEPTH, WIDTH, seed=seed + 21)
-    cm_fused = CountMinSketch(DEPTH, WIDTH, seed=seed + 21)
-    bench(
-        "countmin_update_batch",
-        "Mpps",
-        len(keys),
-        lambda: legacy_update_batch(cm_legacy, keys),
-        lambda: cm_fused.update_batch(keys),
-    )
-    cs_legacy = CountSketch(DEPTH, WIDTH, seed=seed + 22)
-    cs_fused = CountSketch(DEPTH, WIDTH, seed=seed + 22)
-    bench(
-        "countsketch_update_batch",
-        "Mpps",
-        len(keys),
-        lambda: legacy_update_batch(cs_legacy, keys),
-        lambda: cs_fused.update_batch(keys),
-    )
+    countmin = CountMinSketch(DEPTH, WIDTH, seed=seed + 21)
+    bench("countmin_update_batch", "Mpps", n, lambda: countmin.update_batch(keys))
+    countsketch = CountSketch(DEPTH, WIDTH, seed=seed + 22)
+    bench("countsketch_update_batch", "Mpps", n, lambda: countsketch.update_batch(keys))
 
     # 3. NitroSketch end-to-end (sampled slots + top-k offers).
-    nitro_legacy = NitroSketch(
+    nitro = NitroSketch(
         CountSketch(DEPTH, WIDTH, seed=seed + 31), probability=0.01, top_k=100
     )
-    nitro_fused = NitroSketch(
-        CountSketch(DEPTH, WIDTH, seed=seed + 31), probability=0.01, top_k=100
-    )
-    nitro_row = bench(
-        "nitro_countsketch_update_batch",
-        "Mpps",
-        len(keys),
-        lambda: legacy_nitro_update_batch(nitro_legacy, keys),
-        lambda: nitro_fused.update_batch(keys),
-    )
+    bench("nitro_countsketch_update_batch", "Mpps", n, lambda: nitro.update_batch(keys))
 
     # 4. Batch point queries (heavy-hitter report path).
     probe_sketch = CountSketch(DEPTH, WIDTH, seed=seed + 41)
@@ -275,21 +153,12 @@ def run(scale: float = 1.0, seed: int = 0, repeats: int = 3) -> ExperimentResult
         "countsketch_query_batch",
         "Mkeys/s",
         len(probe),
-        lambda: legacy_query_loop(probe_sketch, probe),
         lambda: probe_sketch.query_batch(probe),
     )
-
-    result.notes.append(
-        "gates: kwise4 speedup >= %.1fx (got %.1fx), nitro end-to-end >= "
-        "%.1fx (got %.1fx)"
-        % (
-            KWISE_SPEEDUP_FLOOR,
-            kwise_row["speedup"],
-            NITRO_SPEEDUP_FLOOR,
-            nitro_row["speedup"],
-        )
-    )
     return result
+
+
+# -- overhead measurements (rows of GATES) ---------------------------------
 
 
 def telemetry_overhead(
@@ -297,20 +166,14 @@ def telemetry_overhead(
 ) -> Dict[str, float]:
     """Cost of a live Telemetry sink on ``NitroSketch.update_batch``.
 
-    Feeds the same CAIDA-like trace in ``chunk``-sized batches (so the
-    per-batch instrumentation cost is actually exercised, not amortised
-    into one giant call) twice: once with the default
+    Feeds the same chunked CAIDA-like trace twice: once with the default
     :data:`~repro.telemetry.NULL_TELEMETRY` sink and once with a real
     :class:`~repro.telemetry.Telemetry` attached.  Returns both times
-    and their ratio, which ``scripts/check_perf.py`` gates at
-    :data:`TELEMETRY_OVERHEAD_CEILING`.
+    and their ratio, which the ``telemetry`` row of :data:`GATES` bounds.
     """
     from repro.telemetry import Telemetry
 
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    chunks = _chunked(_trace_keys(scale, seed), chunk)
 
     def build():
         return NitroSketch(
@@ -330,7 +193,6 @@ def telemetry_overhead(
     null_seconds = _best_time(ingest(null_nitro), repeats)
     live_seconds = _best_time(ingest(live_nitro), repeats)
     return {
-        "packets": float(n),
         "null_seconds": null_seconds,
         "live_seconds": live_seconds,
         "ratio": live_seconds / null_seconds,
@@ -353,17 +215,14 @@ def tracing_overhead(
     Telemetry` sink (which carries the span tracer), a per-epoch span
     opened around each pass, and a :class:`~repro.telemetry.profile.
     StageProfiler` timing pipeline stages on every ``sample_every``-th
-    batch.  The ratio is gated at :data:`TRACING_OVERHEAD_CEILING` by
-    ``scripts/check_perf.py``; it is what bounds the "continuous
-    profiling is cheap enough to leave on" claim.
+    batch.  The ratio is bounded by the ``tracing`` row of
+    :data:`GATES`; it is what bounds the "continuous profiling is cheap
+    enough to leave on" claim.
     """
     from repro.telemetry import Telemetry
     from repro.telemetry.profile import StageProfiler
 
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    chunks = _chunked(_trace_keys(scale, seed), chunk)
 
     def build():
         return NitroSketch(
@@ -385,18 +244,10 @@ def tracing_overhead(
             for piece in chunks:
                 traced_nitro.update_batch(piece)
 
-    # Warm-up, then interleaved best-of rounds so machine-load drift
-    # moves both sides alike (same rationale as verify_overhead).
-    bare_pass()
-    traced_pass()
-    bare_seconds = float("inf")
-    traced_seconds = float("inf")
-    for _ in range(max(repeats, 7)):
-        bare_seconds = min(bare_seconds, _best_time(bare_pass, 1))
-        traced_seconds = min(traced_seconds, _best_time(traced_pass, 1))
+    bare_seconds, traced_seconds = _interleaved_best(
+        bare_pass, traced_pass, max(repeats, 7)
+    )
     return {
-        "packets": float(n),
-        "sample_every": float(sample_every),
         "bare_seconds": bare_seconds,
         "traced_seconds": traced_seconds,
         "ratio": traced_seconds / bare_seconds,
@@ -413,14 +264,14 @@ def alert_overhead(
     """Cost of the alert plane + anomaly detectors on the ingest path.
 
     Feeds the same chunked CAIDA-like stream through a NitroSketch
-    K-ary monitor twice: once bare, and once with the PR-8 alert plane
+    K-ary monitor twice: once bare, and once with the alert plane
     live -- :class:`~repro.telemetry.anomaly.SketchAnomalyDetectors`
     observing an epoch every ``epoch_every`` chunks (sketch clone +
     difference + candidate queries + entropy/churn scores) and an
     :class:`~repro.telemetry.AlertManager` evaluating the default rule
-    set at each epoch boundary.  The ratio is gated at
-    :data:`ALERT_OVERHEAD_CEILING` by ``scripts/check_perf.py``; it is
-    what bounds the "alerting is cheap enough to leave on" claim.
+    set at each epoch boundary.  The ratio is bounded by the ``alerts``
+    row of :data:`GATES`; it is what bounds the "alerting is cheap
+    enough to leave on" claim.
 
     The epoch size is the knob that makes this gate meaningful: the
     per-epoch cost (~0.5 ms: one sketch clone + difference, a few
@@ -428,17 +279,14 @@ def alert_overhead(
     ratio depends on how much ingest an epoch amortises it over.  The
     default cadence of ``chunk * epoch_every`` = 524k packets per epoch
     matches the production shape -- an epoch is seconds of traffic, not
-    a handful of batches -- which is why ``n`` has a higher floor here
-    than the other overhead benchmarks.
+    a handful of batches -- which is why the trace has a higher floor
+    here than the other overhead benchmarks.
     """
     from repro.core import nitro_kary
     from repro.telemetry import AlertManager, HistoryStore, ManualClock, Telemetry
     from repro.telemetry.anomaly import SketchAnomalyDetectors, default_alert_rules
 
-    n = max(300_000, int(600_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    chunks = _chunked(_trace_keys(scale, seed, floor=300_000, full=600_000), chunk)
     # Never let a small run dodge the gate entirely: at least one epoch
     # boundary must land inside the measured pass.
     epoch_every = min(epoch_every, len(chunks))
@@ -472,18 +320,10 @@ def alert_overhead(
                 detectors.observe_epoch(alerted_nitro, epoch_packets)
                 manager.evaluate()
 
-    # Warm-up, then interleaved best-of rounds so machine-load drift
-    # moves both sides alike (same rationale as tracing_overhead).
-    bare_pass()
-    alert_pass()
-    bare_seconds = float("inf")
-    alerted_seconds = float("inf")
-    for _ in range(max(repeats, 7)):
-        bare_seconds = min(bare_seconds, _best_time(bare_pass, 1))
-        alerted_seconds = min(alerted_seconds, _best_time(alert_pass, 1))
+    bare_seconds, alerted_seconds = _interleaved_best(
+        bare_pass, alert_pass, max(repeats, 7)
+    )
     return {
-        "packets": float(n),
-        "epoch_every": float(epoch_every),
         "bare_seconds": bare_seconds,
         "alerted_seconds": alerted_seconds,
         "ratio": alerted_seconds / bare_seconds,
@@ -511,21 +351,19 @@ def window_overhead(
     the workload change.  What remains in the ratio is the window's own
     cost: the per-batch boundary check, boundary-crossing batch splits,
     ring rotation (recycle + reset), and merged-view cache
-    invalidation.  Gated at :data:`WINDOW_OVERHEAD_CEILING` by
-    ``scripts/check_perf.py``; it is what bounds the "windowing rides
-    the kernel ingest path" claim (docs/WINDOWS.md).
+    invalidation.  Bounded by the ``windows`` row of :data:`GATES`; it
+    is what bounds the "windowing rides the kernel ingest path" claim
+    (docs/WINDOWS.md).
     """
     from repro.control.windows import SlidingWindowMonitor
 
-    n = max(100_000, int(400_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    keys = _trace_keys(scale, seed, floor=100_000, full=400_000)
+    chunks = _chunked(keys, chunk)
     # Batch-aligned epochs: the deployed owners (daemon ``epoch_batches``,
     # control-plane ``adopt_epoch``) rotate *between* batches, so the
     # gate measures that shape; a misaligned ``epoch_packets`` would
     # additionally split one batch per epoch into two kernel calls.
-    epoch_packets = max(chunk, n // epochs_per_pass // chunk * chunk)
+    epoch_packets = max(chunk, len(keys) // epochs_per_pass // chunk * chunk)
 
     def build():
         return NitroSketch(
@@ -553,19 +391,10 @@ def window_overhead(
         for piece in chunks:
             window.update_batch(piece)
 
-    # Warm-up, then interleaved best-of rounds so machine-load drift
-    # moves both sides alike (same rationale as tracing_overhead).
-    bare_pass()
-    window_pass()
-    bare_seconds = float("inf")
-    windowed_seconds = float("inf")
-    for _ in range(max(repeats, 7)):
-        bare_seconds = min(bare_seconds, _best_time(bare_pass, 1))
-        windowed_seconds = min(windowed_seconds, _best_time(window_pass, 1))
+    bare_seconds, windowed_seconds = _interleaved_best(
+        bare_pass, window_pass, max(repeats, 7)
+    )
     return {
-        "packets": float(n),
-        "window_epochs": float(window_epochs),
-        "epoch_packets": float(epoch_packets),
         "bare_seconds": bare_seconds,
         "windowed_seconds": windowed_seconds,
         "ratio": windowed_seconds / bare_seconds,
@@ -588,10 +417,9 @@ def service_overhead(
     with a ``sync`` barrier closing each pass -- and once through
     ``MeasurementDaemon.ingest`` in the benchmark process (batch
     construction included: that is what an embedding caller pays).  The
-    ratio is gated at :data:`SERVICE_OVERHEAD_CEILING` by
-    ``scripts/check_perf.py``; it is what bounds the "running the
-    always-on service costs little over embedding the library" claim
-    (docs/SERVICE.md).
+    ratio is bounded by the ``service`` row of :data:`GATES`; it is what
+    bounds the "running the always-on service costs little over
+    embedding the library" claim (docs/SERVICE.md).
 
     The queue is sized to hold a whole pass so ``overflow="wait"`` never
     parks the client: the gate measures serving overhead, not
@@ -601,13 +429,9 @@ def service_overhead(
     from repro.service.client import IngestClient
     from repro.service.server import MonitoringService
     from repro.service.tenants import ServiceConfig
-
     from repro.switchsim.daemon import MeasurementDaemon
 
-    n = max(100_000, int(400_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    chunks = _chunked(_trace_keys(scale, seed, floor=100_000, full=400_000), chunk)
     tenant = "bench"
 
     config = ServiceConfig(
@@ -631,24 +455,17 @@ def service_overhead(
         client.sync(tenant)
 
     try:
-        # Warm-up, then interleaved best-of rounds so machine-load drift
-        # moves both sides alike (same rationale as tracing_overhead).
-        # The warm-up also converges both (seed-identical) AlwaysCorrect
-        # monitors, so measured passes run the sampled steady state.
-        direct_pass()
-        served_pass()
-        direct_seconds = float("inf")
-        served_seconds = float("inf")
-        for _ in range(max(repeats, 7)):
-            direct_seconds = min(direct_seconds, _best_time(direct_pass, 1))
-            served_seconds = min(served_seconds, _best_time(served_pass, 1))
+        # The warm-up round also converges both (seed-identical)
+        # AlwaysCorrect monitors, so measured passes run the sampled
+        # steady state.
+        direct_seconds, served_seconds = _interleaved_best(
+            direct_pass, served_pass, max(repeats, 7)
+        )
     finally:
         client.bye()
         client.close()
         service.stop()
     return {
-        "packets": float(n),
-        "chunk": float(chunk),
         "direct_seconds": direct_seconds,
         "served_seconds": served_seconds,
         "ratio": served_seconds / direct_seconds,
@@ -668,22 +485,15 @@ def audit_overhead(
     ``NitroSketch.update_batch``: once bare (NULL_TELEMETRY, no auditor)
     and once with a shadow auditor mirroring every chunk into its exact
     ground-truth reservoir -- the live-auditing deployment shape, where
-    the auditor rides the daemon's ingest loop.  The ratio is gated at
-    :data:`AUDIT_OVERHEAD_CEILING` by ``scripts/check_perf.py``.
+    the auditor rides the daemon's ingest loop.  The ratio is bounded by
+    the ``audit`` row of :data:`GATES`.
     """
     from repro.telemetry.audit import ShadowAuditor
 
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
-
-    def build():
-        return NitroSketch(
-            CountSketch(DEPTH, WIDTH, seed=seed + 61), probability=0.01, top_k=100
-        )
-
-    nitro = build()
+    chunks = _chunked(_trace_keys(scale, seed), chunk)
+    nitro = NitroSketch(
+        CountSketch(DEPTH, WIDTH, seed=seed + 61), probability=0.01, top_k=100
+    )
     auditor = ShadowAuditor(capacity=capacity, seed=seed)
     # Settle the reservoir threshold first: a deployed auditor spends its
     # life in steady state, and the one-off settling pass would otherwise
@@ -708,8 +518,6 @@ def audit_overhead(
     auditor_seconds = _best_time(audit_pass, max(repeats, 7))
     audited_seconds = bare_seconds + auditor_seconds
     return {
-        "packets": float(n),
-        "capacity": float(capacity),
         "bare_seconds": bare_seconds,
         "audited_seconds": audited_seconds,
         "ratio": audited_seconds / bare_seconds,
@@ -733,8 +541,8 @@ def checkpoint_overhead(
     daemon cadence from ``docs/RECOVERY.md``, roughly one checkpoint per
     million packets.  The checkpoint cost is strictly additive (the save
     only reads monitor state between batches), so the sum is the
-    checkpointing daemon's ingest time; the ratio is gated at
-    :data:`CHECKPOINT_OVERHEAD_CEILING` by ``scripts/check_perf.py``.
+    checkpointing daemon's ingest time; the ratio is bounded by the
+    ``checkpoint`` row of :data:`GATES`.
 
     The monitor is the deployment shape the chaos harness checkpoints (a
     5x4096 Count Sketch under 1% sampling), not the Section-7 accuracy
@@ -745,32 +553,21 @@ def checkpoint_overhead(
 
     from repro.control.checkpoint import CheckpointManager
 
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
-
+    chunks = _chunked(_trace_keys(scale, seed), chunk)
     nitro = NitroSketch(
         CountSketch(5, 4096, seed=seed + 81), probability=0.01, top_k=100
-    )
-    manager = CheckpointManager(
-        tempfile.mkdtemp(prefix="nitro-perf-ckpt-"), keep=3
     )
 
     def bare_pass():
         for piece in chunks:
             nitro.update_batch(piece)
 
-    def save_once():
-        manager.save(nitro)
-
-    bare_seconds = _best_time(bare_pass, max(repeats, 7))
-    save_seconds = _best_time(save_once, max(repeats, 7))
-    saves_per_pass = len(chunks) / interval
-    checkpointed_seconds = bare_seconds + saves_per_pass * save_seconds
+    with tempfile.TemporaryDirectory(prefix="nitro-perf-ckpt-") as directory:
+        manager = CheckpointManager(directory, keep=3)
+        bare_seconds = _best_time(bare_pass, max(repeats, 7))
+        save_seconds = _best_time(lambda: manager.save(nitro), max(repeats, 7))
+    checkpointed_seconds = bare_seconds + len(chunks) / interval * save_seconds
     return {
-        "packets": float(n),
-        "interval_batches": float(interval),
         "bare_seconds": bare_seconds,
         "save_seconds": save_seconds,
         "checkpointed_seconds": checkpointed_seconds,
@@ -788,17 +585,10 @@ def verify_overhead(
     default) the only residue is the wrapper's ``is not None`` test.
     This times the same chunked CAIDA-like ingest twice -- through the
     public ``update_batch`` wrapper and through ``_update_batch_impl``
-    directly -- and returns the ratio, which ``scripts/check_perf.py``
-    gates at :data:`VERIFY_OVERHEAD_CEILING`.
-
-    The two variants are timed in alternating rounds (best-of each)
-    rather than in two sequential blocks, so machine-load drift during
-    the run moves both numerators alike instead of biasing the ratio.
+    directly -- and returns the ratio, which the ``verify`` row of
+    :data:`GATES` bounds.
     """
-    n = max(10_000, int(200_000 * scale))
-    trace = caida_like(n, n_flows=max(2_000, n // 5), seed=seed + 1)
-    keys = trace.keys
-    chunks = [keys[start : start + chunk] for start in range(0, len(keys), chunk)]
+    chunks = _chunked(_trace_keys(scale, seed), chunk)
 
     def build():
         return NitroSketch(
@@ -816,21 +606,89 @@ def verify_overhead(
         for piece in chunks:
             hooked_nitro.update_batch(piece)
 
-    # Warm-up round (hash caches, allocator, branch predictors), then
-    # interleaved best-of timing.
-    direct_pass()
-    hooked_pass()
-    direct_seconds = float("inf")
-    hooked_seconds = float("inf")
-    for _ in range(max(repeats, 9)):
-        direct_seconds = min(direct_seconds, _best_time(direct_pass, 1))
-        hooked_seconds = min(hooked_seconds, _best_time(hooked_pass, 1))
+    direct_seconds, hooked_seconds = _interleaved_best(
+        direct_pass, hooked_pass, max(repeats, 9)
+    )
     return {
-        "packets": float(n),
         "direct_seconds": direct_seconds,
         "hooked_seconds": hooked_seconds,
         "ratio": hooked_seconds / direct_seconds,
     }
+
+
+# -- the gate table --------------------------------------------------------
+
+
+class Gate(NamedTuple):
+    """One overhead gate: ``measure(...)["ratio"]`` must stay <= ``ceiling``."""
+
+    name: str  # ``scripts/check_perf.py --skip NAME``
+    label: str  # the printed row's label
+    ratio_label: str  # what the ratio divides, e.g. "live/null"
+    subject: str  # what a miss reports as too expensive
+    measure: Callable[..., Dict[str, float]]
+    ceiling: float
+    retry: bool  # a miss measures once more and keeps the better ratio
+
+
+#: The overhead gates, in the order ``scripts/check_perf.py`` runs them.
+#: Every ratio is same-run (instrumented over bare time), so it does not
+#: depend on the host's absolute speed.
+GATES = (
+    # A real Telemetry sink on the batch update path may cost at most
+    # this factor versus the default NULL_TELEMETRY no-op sink.
+    Gate("telemetry", "telemetry_update_batch", "live/null", "telemetry",
+         telemetry_overhead, 1.10, retry=False),
+    # A live shadow auditor alongside the batch ingest path may cost at
+    # most this factor versus an unaudited NULL_TELEMETRY run.
+    Gate("audit", "audit_update_batch", "audited/bare", "audit",
+         audit_overhead, 1.10, retry=False),
+    # Periodic crash-safety checkpoints (serialize + atomic write +
+    # fsync) at the default cadence may cost at most this factor versus
+    # a daemon that never checkpoints.
+    Gate("checkpoint", "checkpoint_ingest", "checkpointed/bare", "checkpoint",
+         checkpoint_overhead, 1.10, retry=False),
+    # The *disabled* invariant hook (one ``is not None`` attribute test
+    # per ``update_batch`` call) versus calling the batch implementation
+    # directly with no hook dispatch at all.  That true cost is one
+    # attribute test per batch, so a ratio over the ceiling on a loaded
+    # box is noise: retry.
+    Gate("verify", "verify_hook_update_batch", "hooked/direct", "verify-hook",
+         verify_overhead, 1.05, retry=True),
+    # Full tracing instrumentation -- a live Telemetry sink, the span
+    # tracer, and a StageProfiler at its default sampling cadence --
+    # versus the bare NULL_TELEMETRY/NULL_PROFILER ingest path.  Stage
+    # timers and span bookkeeping cost microseconds per batch, so an
+    # over-ceiling ratio on a loaded box is noise: retry.
+    Gate("tracing", "tracing_update_batch", "traced/bare", "tracing",
+         tracing_overhead, 1.10, retry=True),
+    # The alert plane at its default cadence -- sketch-driven anomaly
+    # detectors observing every epoch plus an AlertManager evaluating
+    # the default rule set -- versus bare ingest.  One epoch's detector
+    # pass costs half a millisecond, which a loaded box can read as
+    # over-ceiling noise: retry.
+    Gate("alerts", "alert_update_batch", "alerted/bare", "alert",
+         alert_overhead, 1.10, retry=True),
+    # Batched ingest through a SlidingWindowMonitor -- the boundary
+    # check per batch, epoch rotations (recycle + reset) at the default
+    # cadence, and merged-view cache invalidation -- versus updating the
+    # wrapped sketch directly.  The window adds one comparison per batch
+    # and a counter reset per rotation, so over-ceiling readings on a
+    # loaded box are noise: retry.
+    Gate("windows", "window_update_batch", "windowed/bare", "windowed-ingest",
+         window_overhead, 1.15, retry=True),
+    # Serving ingest over the wire -- client-side frame encode, loopback
+    # TCP, the asyncio reader, header/key decode, per-tenant queue and
+    # the drainer coroutine -- versus the same batches ingested
+    # in-process through ``MeasurementDaemon.ingest``.  The served side
+    # rides a second thread (asyncio drain), so scheduler contention on
+    # a loaded box can read as over-ceiling noise: retry.
+    Gate("service", "service_ingest", "served/direct", "served-ingest",
+         service_overhead, 1.15, retry=True),
+)
+
+
+# -- the committed baseline ------------------------------------------------
 
 
 def payload(result: ExperimentResult) -> Dict:
@@ -838,12 +696,11 @@ def payload(result: ExperimentResult) -> Dict:
     return {
         "generated_by": "python -m repro.experiments.kernelbench",
         "description": result.description,
+        "host": host_info(),
         "benches": {
             row["bench"]: {
                 "unit": row["unit"],
-                "legacy_rate": round(row["legacy_rate"], 4),
                 "fused_rate": round(row["fused_rate"], 4),
-                "speedup": round(row["speedup"], 2),
             }
             for row in result.rows
         },

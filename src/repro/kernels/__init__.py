@@ -10,8 +10,9 @@ Every batch update/query in the repository routes through this layer
 * :mod:`repro.kernels.rowkernel` -- :class:`SketchKernel`, the fused
   whole-sketch update/query engine (replaces per-row Python loops).
 
-``benchmarks/bench_kernels.py`` measures the kernels against the seed
-implementations; ``scripts/check_perf.py`` guards the recorded speedups.
+``benchmarks/bench_kernels.py`` times the kernels;
+``scripts/check_perf.py`` guards the rates recorded in
+``BENCH_kernels.json``.
 """
 
 from repro.kernels.mersenne import (

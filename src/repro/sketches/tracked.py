@@ -38,8 +38,14 @@ class TrackedSketch:
     def depth(self) -> int:
         return self.sketch.depth
 
-    def update(self, key: int, weight: float = 1.0) -> None:
-        """Update all rows and offer the fresh estimate to the heap."""
+    def update(
+        self, key: int, weight: float = 1.0, timestamp: Optional[float] = None
+    ) -> None:
+        """Update all rows and offer the fresh estimate to the heap.
+
+        ``timestamp`` is accepted (and ignored) so wrappers can drive
+        this and NitroSketch through one call shape.
+        """
         estimate = self.sketch.update_and_estimate(key, weight)
         self.topk.offer(key, estimate)
 
@@ -47,8 +53,16 @@ class TrackedSketch:
         for key in keys:
             self.update(key)
 
-    def update_batch(self, keys: "np.ndarray", weights: Optional["np.ndarray"] = None) -> None:
-        """Vectorised ingest; the heap is refreshed with final estimates."""
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
+        """Vectorised ingest; the heap is refreshed with final estimates.
+
+        ``duration_seconds`` is accepted (and ignored), as for ``update``.
+        """
         keys = np.asarray(keys)
         if len(keys) == 0:
             return

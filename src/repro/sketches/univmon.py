@@ -291,14 +291,9 @@ class UnivMon:
                 break
             level_keys = keys[mask]
             selected_weights = None if level_weights is None else level_weights[mask]
-            self._level_update_batch(level, level_keys, selected_weights, duration_seconds)
-
-    def _level_update_batch(self, level, keys, weights, duration_seconds) -> None:
-        sketch = self.sketches[level]
-        try:
-            sketch.update_batch(keys, weights, duration_seconds=duration_seconds)
-        except TypeError:
-            sketch.update_batch(keys, weights)
+            self.sketches[level].update_batch(
+                level_keys, selected_weights, duration_seconds=duration_seconds
+            )
 
     # -- queries ------------------------------------------------------------
 

@@ -139,20 +139,16 @@ class MeasurementDaemon:
             # detectors query it directly instead of differencing
             # against a cumulative snapshot.
             anomaly.cumulative = False
-        self.monitor = monitor
         self.mode = mode
         self.name = name or type(monitor).__name__
         self.use_batch = use_batch and hasattr(monitor, "update_batch")
         self.ops = OpCounter()
-        if hasattr(monitor, "ops"):
-            monitor.ops = self.ops
         self.telemetry = telemetry
-        if hasattr(monitor, "telemetry"):
-            monitor.telemetry = telemetry
-        # Per-stage latency profiler; the setter hands it to the monitor
-        # so hot-path stages and checkpoint timing land in one
-        # ``stage_seconds`` family.
-        self.profiler = NULL_PROFILER
+        # Per-stage latency profiler, handed to the monitor so hot-path
+        # stages and checkpoint timing land in one ``stage_seconds``
+        # family.
+        self._profiler = NULL_PROFILER
+        self._attach(monitor)
         self.auditor = auditor
         if queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0, got %d" % queue_capacity)
@@ -198,8 +194,17 @@ class MeasurementDaemon:
     @profiler.setter
     def profiler(self, profiler) -> None:
         self._profiler = profiler if profiler is not None else NULL_PROFILER
-        if hasattr(self.monitor, "profiler"):
-            self.monitor.profiler = self._profiler
+        self._attach(self.monitor)
+
+    def _attach(self, monitor) -> None:
+        """Adopt ``monitor`` and hand it the daemon's ops, telemetry and profiler."""
+        self.monitor = monitor
+        if hasattr(monitor, "ops"):
+            monitor.ops = self.ops
+        if hasattr(monitor, "telemetry"):
+            monitor.telemetry = self.telemetry
+        if hasattr(monitor, "profiler"):
+            monitor.profiler = self._profiler
 
     def ingest(self, batch: Batch) -> None:
         """Feed one batch to the monitor."""
@@ -303,14 +308,10 @@ class MeasurementDaemon:
             return False
         from repro.control.windows import SlidingWindowMonitor
 
-        self.monitor = restored.monitor
+        self._attach(restored.monitor)
         self.windowed = isinstance(self.monitor, SlidingWindowMonitor)
         if self.windowed:
             self.window_epochs = self.monitor.window_epochs
-        if hasattr(self.monitor, "ops"):
-            self.monitor.ops = self.ops
-        if hasattr(self.monitor, "telemetry"):
-            self.monitor.telemetry = self.telemetry
         self.packets_offered = int(restored.meta.get("packets_offered", 0))
         self.batches_ingested = int(restored.meta.get("batches_ingested", 0))
         self._batches_since_checkpoint = 0

@@ -11,7 +11,7 @@ from repro.control import (
     KAryChangeMonitor,
 )
 from repro.core import nitro_kary, nitro_univmon
-from repro.sketches import UnivMon
+from repro.sketches import KArySketch, TrackedSketch, UnivMon
 from repro.traffic import caida_like, remap_flows
 
 
@@ -128,3 +128,29 @@ class TestKAryChangeMonitor:
         monitor.update(1)
         monitor.reset()
         assert monitor.query(1) == pytest.approx(0.0, abs=1.0)
+
+    def test_vanilla_inner_scalar_and_batch_agree(self):
+        # The vanilla K-ary monitor of fig12: a TrackedSketch inner must
+        # take the same update/update_batch call shape as NitroSketch.
+        keys = caida_like(5000, n_flows=500, seed=13).keys
+        scalar = KAryChangeMonitor(TrackedSketch(KArySketch(5, 1024, 13), k=50))
+        batch = KAryChangeMonitor(TrackedSketch(KArySketch(5, 1024, 13), k=50))
+        for key in keys.tolist():
+            scalar.update(key, timestamp=1.0)
+        batch.update_batch(keys, duration_seconds=1.0)
+        assert np.array_equal(
+            scalar.inner.sketch.counters, batch.inner.sketch.counters
+        )
+
+    def test_inner_type_error_propagates_after_one_call(self):
+        class Failing:
+            calls = 0
+
+            def update_batch(self, keys, weights=None, duration_seconds=None):
+                Failing.calls += 1
+                raise TypeError("raised inside the inner update")
+
+        monitor = KAryChangeMonitor(Failing())
+        with pytest.raises(TypeError, match="inside the inner update"):
+            monitor.update_batch(np.arange(10))
+        assert Failing.calls == 1

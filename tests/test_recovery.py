@@ -31,6 +31,7 @@ from repro.sketches.univmon import UnivMon
 from repro.switchsim.daemon import MeasurementDaemon
 from repro.telemetry import Telemetry
 from repro.telemetry.health import CheckpointStalenessRule, sample_value
+from repro.telemetry.profile import StageProfiler, stage_summary
 from repro.traffic import caida_like
 from repro.traffic.replay import Replayer
 
@@ -258,6 +259,30 @@ class TestDaemonCheckpoints:
         assert serialize_monitor(recovered.monitor) == serialize_monitor(
             clean.monitor
         )
+
+    def test_restore_latest_keeps_the_attached_profiler(self, tmp_path):
+        telemetry = Telemetry()
+        daemon = MeasurementDaemon(
+            self._monitor(), checkpoints=CheckpointManager(str(tmp_path))
+        )
+        daemon.profiler = StageProfiler(telemetry, sample_every=1)
+        batches = self._batches()
+        daemon.ingest(batches[0])
+        daemon.checkpoint()
+        assert daemon.restore_latest()
+        assert daemon.monitor.profiler is daemon.profiler
+
+        def monitor_stage_samples():
+            # The daemon times "checkpoint" itself; every other stage is
+            # recorded by the monitor through the attached profiler.
+            summary = stage_summary(telemetry.registry)
+            return sum(
+                row["count"] for stage, row in summary.items() if stage != "checkpoint"
+            )
+
+        before = monitor_stage_samples()
+        daemon.ingest(batches[1])
+        assert monitor_stage_samples() > before
 
     def test_interval_requires_manager(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,26 @@ class TestConfiguration:
         assert ops.hashes > 0
         assert ops.counter_updates >= um.depth
 
+    def test_level_type_error_propagates_after_one_call(self):
+        calls = []
+
+        class FailingLevel(HeavyHitterSketch):
+            def update_batch(self, keys, weights=None, duration_seconds=None):
+                calls.append(len(keys))
+                raise TypeError("raised inside the level update")
+
+        um = UnivMon(
+            levels=4,
+            depth=3,
+            widths=64,
+            k=5,
+            seed=1,
+            level_factory=lambda level, d, w, k, s: FailingLevel(d, w, k, s),
+        )
+        with pytest.raises(TypeError, match="inside the level update"):
+            um.update_batch(np.arange(100))
+        assert calls == [100]
+
 
 class TestHeavyHitterSketch:
     def test_update_offers_to_topk(self):
