@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.geometric import GeometricSampler, geometric_positions
 from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
+from repro.kernels.distinct import sorted_distinct_count
 from repro.sketches.base import CanonicalSketch
 from repro.sketches.topk import TopK
 from repro.telemetry import NULL_TELEMETRY
@@ -270,8 +271,9 @@ class NitroSketch:
         not in distribution).  ``duration_seconds`` is the wall-clock
         span of the batch and drives AlwaysLineRate adaptation.
 
-        Top-k offers still happen for every packet that received at least
-        one sampled row update.
+        Every packet that received at least one sampled row update offers
+        its key to the top-k store, as one :meth:`TopK.offer_batch` of the
+        distinct sampled keys.
         """
         self._update_batch_impl(keys, weights, duration_seconds)
         if self.invariant_hook is not None:
@@ -367,28 +369,21 @@ class NitroSketch:
         )
         self.ops.counter_update(len(positions))
 
-        sampled_packets = int(np.unique(packet_idx).size)
+        # Positions ascend, so packet_idx is non-decreasing.
+        sampled_packets = sorted_distinct_count(packet_idx)
         self.packets_sampled += sampled_packets
         self._telemetry.count("nitro_sampled_packets_total", sampled_packets)
         self._telemetry.count("nitro_geometric_draws_total", len(positions))
         if self.topk is not None:
             with profiler.stage("query"):
-                unique_keys = np.unique(sampled_keys)
-                # Scalar ingest probes the heap once per *sampled packet*.
-                self.ops.table_lookup(max(sampled_packets - len(unique_keys), 0))
-                estimates = self.sketch.query_batch(unique_keys)
-                for key, estimate in zip(unique_keys.tolist(), estimates.tolist()):
-                    self.topk.offer(int(key), float(estimate))
+                self._offer_topk(sampled_keys, sampled_packets)
 
-    def _offer_topk(self, keys: "np.ndarray", count: int) -> None:
-        """Offer each distinct key of an exact-phase batch to the heap."""
+    def _offer_topk(self, keys: "np.ndarray", probes: int) -> None:
+        """Offer each distinct key of ``keys`` to the heap at once; scalar
+        ingest probes the heap once per packet it offers (``probes``)."""
         if self.topk is None:
             return
-        unique_keys = np.unique(keys)
-        self.ops.table_lookup(count - len(unique_keys))
-        estimates = self.sketch.query_batch(unique_keys)
-        for key, estimate in zip(unique_keys.tolist(), estimates.tolist()):
-            self.topk.offer(int(key), float(estimate))
+        self.topk.offer_distinct(keys, self.sketch.query_batch, probes)
 
     # -- queries -----------------------------------------------------------------
 
@@ -439,11 +434,11 @@ class NitroSketch:
             # post-merge estimate: our keys' stored estimates predate the
             # merge, and leaving them stale would let eviction order be
             # driven by pre-merge counts.
-            tracked = sorted(set(self.topk.keys()) | set(other.topk.keys()))
-            if tracked:
-                estimates = self.sketch.query_batch(np.asarray(tracked))
-                for key, estimate in zip(tracked, estimates.tolist()):
-                    self.topk.offer(int(key), float(estimate))
+            tracked = np.asarray(
+                sorted(set(self.topk.keys()) | set(other.topk.keys()))
+            )
+            if len(tracked):
+                self.topk.offer_batch(tracked, self.sketch.query_batch(tracked))
 
     # -- invariants ---------------------------------------------------------------
 

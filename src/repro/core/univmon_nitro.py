@@ -32,6 +32,7 @@ from repro.core.config import NitroConfig, NitroMode
 from repro.core.geometric import GeometricSampler, geometric_positions
 from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
 from repro.core.nitro import PREPROCESS_CYCLES_PER_PACKET
+from repro.kernels.distinct import sorted_distinct, sorted_distinct_count
 from repro.sketches.univmon import UnivMon, default_level_factory
 from repro.telemetry.profile import NULL_PROFILER
 
@@ -208,9 +209,9 @@ class NitroUnivMon(UnivMon):
 
             sampled_keys = keys[packet_idx]
             # One membership hash per sampled position (scalar path pays one
-            # per sampled *packet*; bill per unique packet).
-            unique_packets = np.unique(packet_idx)
-            self.ops.hash(len(unique_packets))
+            # per sampled *packet*; bill per distinct packet -- packet_idx
+            # is non-decreasing).
+            self.ops.hash(sorted_distinct_count(packet_idx))
             membership = self.sampled_depth_batch(sampled_keys)
             in_level = level_idx <= membership
 
@@ -238,17 +239,15 @@ class NitroUnivMon(UnivMon):
                 profiler=kernel_profiler,
             )
             self.ops.counter_update(len(level_keys))
-            updated_keys[level] = np.unique(level_keys)
+            updated_keys[level] = sorted_distinct(level_keys)
 
-        self._packets_sampled += int(
-            np.unique(packet_idx[in_level]).size
-        )
+        self._packets_sampled += sorted_distinct_count(packet_idx[in_level])
         with profiler.stage("query"):
             for level, unique_keys in updated_keys.items():
                 unit = self.sketches[level]
-                estimates = unit.sketch.query_batch(unique_keys)
-                for key, estimate in zip(unique_keys.tolist(), estimates.tolist()):
-                    unit.topk.offer(int(key), float(estimate))
+                unit.topk.offer_batch(
+                    unique_keys, unit.sketch.query_batch(unique_keys)
+                )
 
     def _exact_batch(self, keys, weights) -> None:
         """Vanilla UnivMon batch path, without re-counting packets/total."""

@@ -7,6 +7,9 @@ Every batch update/query in the repository routes through this layer
   polynomial hashing (replaces the object-dtype big-int path);
 * :mod:`repro.kernels.scatter` -- flat-index ``bincount`` scatter-adds
   (replaces per-row ``np.add.at`` loops);
+* :mod:`repro.kernels.distinct` -- sorted distinct keys by sort and
+  adjacent-duplicate mask, and the distinct count of sorted input
+  (both in place of ``np.unique``'s hash-table path);
 * :mod:`repro.kernels.rowkernel` -- :class:`SketchKernel`, the fused
   whole-sketch update/query engine (replaces per-row Python loops).
 
@@ -15,6 +18,7 @@ Every batch update/query in the repository routes through this layer
 ``BENCH_kernels.json``.
 """
 
+from repro.kernels.distinct import sorted_distinct, sorted_distinct_count
 from repro.kernels.mersenne import (
     fold_mersenne,
     kwise_raw_batch,
@@ -32,4 +36,6 @@ __all__ = [
     "reduce_keys_mersenne",
     "scatter_add_2d",
     "scatter_add_flat",
+    "sorted_distinct",
+    "sorted_distinct_count",
 ]

@@ -7,15 +7,22 @@ standard implementation -- and the one profiled in Table 2 (``heap_find``,
 membership dictionary.
 
 On every tracked update the caller offers ``(key, estimate)``; the store
-admits the key if the estimate beats the current minimum.  Heap operations
-are recorded in the ``ops`` sink so the cost model sees cost ``P``.
+admits the key if the estimate beats the current minimum.  Batch ingest
+offers a whole sorted key set at once through :meth:`TopK.offer_batch`,
+which touches the heap only for the keys that can change it.  Heap
+operations are recorded in the ``ops`` sink so the cost model sees cost
+``P``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
+from repro.kernels.distinct import sorted_distinct
 from repro.metrics.opcount import NULL_OPS
 
 
@@ -55,8 +62,16 @@ class TopK:
         the estimated size of the current key is compared against the
         heap minimum.  The membership probe is billed as a table lookup
         (VTune's ``heap_find``); only actual heap modifications are
-        billed as heap operations (``heapify``).
+        billed as heap operations (``heapify``).  A non-finite estimate
+        raises ``ValueError``: a NaN never equals itself, so its heap
+        entry would read as stale and vanish.
         """
+        if not math.isfinite(estimate):
+            raise ValueError("TopK estimate must be finite, got %r" % (estimate,))
+        return self._offer(key, estimate)
+
+    def _offer(self, key: int, estimate: float) -> bool:
+        """:meth:`offer` for an estimate already known to be finite."""
         self.ops.table_lookup()
         current = self._best.get(key)
         if current is not None:
@@ -84,6 +99,70 @@ class TopK:
         self._push(key, estimate)
         self.ops.heap_op(2)
         return True
+
+    def offer_batch(self, keys: "np.ndarray", estimates: "np.ndarray") -> None:
+        """Offer strictly ascending distinct ``keys`` with their estimates.
+
+        Leaves the heap list, the dict's item order and every ``ops``
+        field exactly as ``for key, est in zip(keys, estimates):
+        offer(key, est)`` would, but runs :meth:`offer` only for the keys
+        that can change the store.  Once the store holds ``k`` keys, its
+        live minimum ``m`` never decreases, so an untracked key with
+        ``estimate <= m`` is rejected at its turn whatever came before it.
+        Such a reject only probes the table and pops stale entries off
+        the heap top; one :meth:`_peek_valid` per run of rejects, at the
+        run's place in the sequence, replays that exactly.  Tracked keys
+        are always offered: a no-op re-offer must not pop stale entries.
+        """
+        keys = np.asarray(keys)
+        estimates = np.asarray(estimates, dtype=np.float64)
+        count = len(keys)
+        if len(estimates) != count:
+            raise ValueError(
+                "offer_batch got %d keys but %d estimates" % (count, len(estimates))
+            )
+        if count > 1 and not bool(np.all(keys[1:] > keys[:-1])):
+            raise ValueError("offer_batch keys must be strictly ascending")
+        if not bool(np.isfinite(estimates).all()):
+            raise ValueError("TopK estimates must be finite")
+        start = 0
+        while start < count and len(self._best) < self.k:
+            self._offer(int(keys[start]), float(estimates[start]))
+            start += 1
+        if start == count:
+            return
+        # Full store: read the live minimum without popping, since the
+        # scalar loop may leave stale entries that checkpoints serialize.
+        floor = min(self._best.values())
+        rest, rest_estimates = keys[start:], estimates[start:]
+        candidate = rest_estimates > floor
+        tracked = np.fromiter(self._best, dtype=rest.dtype, count=len(self._best))
+        slots = np.minimum(np.searchsorted(rest, tracked), len(rest) - 1)
+        candidate[slots[rest[slots] == tracked]] = True
+        picked = np.flatnonzero(candidate)
+        self.ops.table_lookup(len(rest) - len(picked))
+        expected = 0  # position right after the previous candidate
+        for index, key, estimate in zip(
+            picked.tolist(), rest[picked].tolist(), rest_estimates[picked].tolist()
+        ):
+            if index != expected:
+                self._peek_valid()  # the rejects in between
+            self._offer(key, estimate)
+            expected = index + 1
+        if expected != len(rest):
+            self._peek_valid()
+
+    def offer_distinct(self, keys, estimate_batch, probes: int) -> None:
+        """Offer each distinct value of ``keys`` once, with its estimate.
+
+        ``estimate_batch`` maps the ascending distinct keys to their
+        estimates (a sketch's ``query_batch``).  Scalar ingest probes the
+        table once per offer, ``probes`` times in all; :meth:`offer_batch`
+        bills one probe per distinct key, and the rest are billed here.
+        """
+        distinct = sorted_distinct(keys)
+        self.ops.table_lookup(probes - len(distinct))
+        self.offer_batch(distinct, estimate_batch(distinct))
 
     def _push(self, key: int, estimate: float) -> None:
         """Push a live entry, compacting if stale entries piled up."""

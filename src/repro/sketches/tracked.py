@@ -67,14 +67,8 @@ class TrackedSketch:
         if len(keys) == 0:
             return
         self.sketch.update_batch(keys, weights)
-        unique = np.unique(keys)
-        # Scalar ingest probes the top-keys table once per packet; the
-        # batch path only offers distinct keys, so bill the difference to
-        # keep operation counts faithful to the per-packet workflow.
-        self.sketch.ops.table_lookup(len(keys) - len(unique))
-        estimates = self.sketch.query_batch(unique)
-        for key, estimate in zip(unique.tolist(), estimates.tolist()):
-            self.topk.offer(int(key), float(estimate))
+        # Scalar ingest probes the top-keys table once per packet.
+        self.topk.offer_distinct(keys, self.sketch.query_batch, len(keys))
 
     def query(self, key: int) -> float:
         return self.sketch.query(key)

@@ -253,19 +253,15 @@ class Telemetry:
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         """Increment counter ``name`` (creating it on first use)."""
-        with self.registry.lock:
-            family = self.registry.counter(
-                name, METRIC_HELP.get(name, ""), tuple(sorted(labels))
-            )
-            (family.labels(**labels) if labels else family.labels()).inc(value)
+        registry = self.registry
+        with registry.lock:
+            registry.child("counter", name, labels, METRIC_HELP.get(name, "")).inc(value)
 
     def gauge(self, name: str, value: float, **labels) -> None:
         """Set gauge ``name`` to ``value``."""
-        with self.registry.lock:
-            family = self.registry.gauge(
-                name, METRIC_HELP.get(name, ""), tuple(sorted(labels))
-            )
-            (family.labels(**labels) if labels else family.labels()).set(value)
+        registry = self.registry
+        with registry.lock:
+            registry.child("gauge", name, labels, METRIC_HELP.get(name, "")).set(value)
 
     def observe(
         self,
@@ -275,11 +271,11 @@ class Telemetry:
         **labels,
     ) -> None:
         """Record ``value`` into histogram ``name`` (buckets fixed at creation)."""
-        with self.registry.lock:
-            family = self.registry.histogram(
-                name, METRIC_HELP.get(name, ""), tuple(sorted(labels)), buckets
-            )
-            (family.labels(**labels) if labels else family.labels()).observe(value)
+        registry = self.registry
+        with registry.lock:
+            registry.child(
+                "histogram", name, labels, METRIC_HELP.get(name, ""), buckets
+            ).observe(value)
 
     def atomic(self):
         """Context manager grouping several metric writes into one

@@ -218,6 +218,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: "OrderedDict[str, MetricFamily]" = OrderedDict()
+        #: Children resolved by :meth:`child`, keyed by (kind, name,
+        #: label items), so a repeated write skips both lookups.
+        self._resolved: Dict[Tuple, object] = {}
         # Re-entrant: a writer holding the lock for a multi-metric
         # atomic block still creates families (which re-acquires), and
         # exposition takes it to render a consistent view.
@@ -278,6 +281,40 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._get_or_create("histogram", name, help, labelnames, buckets)
 
+    def child(
+        self,
+        kind: str,
+        name: str,
+        labels: Dict[str, object],
+        help: str = "",
+        buckets: Optional[Sequence[float]] = None,
+    ):
+        """The child of family ``name`` for keyword ``labels``.
+
+        Get-or-create like :meth:`counter` / :meth:`gauge` /
+        :meth:`histogram`, with the sorted keys of ``labels`` as label
+        names.  The result is cached by (kind, name, label items) when
+        every label value is a ``str``; other values (unhashable ones,
+        or ``1`` and ``1.0``, which hash alike but name different
+        children) resolve afresh on every call.  A call whose kind or
+        label names disagree with the family misses the cache and
+        raises, as on first use.
+        """
+        for value in labels.values():
+            if type(value) is not str:
+                return self._resolve(kind, name, labels, help, buckets)
+        key = (kind, name, tuple(labels.items()))
+        found = self._resolved.get(key)
+        if found is None:
+            found = self._resolved[key] = self._resolve(
+                kind, name, labels, help, buckets
+            )
+        return found
+
+    def _resolve(self, kind, name, labels, help, buckets):
+        family = self._get_or_create(kind, name, help, tuple(sorted(labels)), buckets)
+        return family.labels(**labels)
+
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
 
@@ -293,3 +330,4 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family (a fresh registry without rebinding refs)."""
         self._families.clear()
+        self._resolved.clear()

@@ -329,3 +329,161 @@ class TestResetEqualsFresh:
         assert nitro.probability == 1.0  # back in the exact warm-up phase
         assert nitro.correctness.converged_at_packet is None
         assert nitro.check_invariants() == []
+
+
+def _scalar_offer_batch(self, keys, estimates):
+    """The per-key loop ``TopK.offer_batch`` replaced."""
+    for key, estimate in zip(np.asarray(keys).tolist(), np.asarray(estimates).tolist()):
+        self.offer(int(key), float(estimate))
+
+
+def _unique_count(values):
+    """The distinct count ``sorted_distinct_count`` replaced."""
+    return int(np.unique(values).size)
+
+
+class TestBatchTopKAdmission:
+    """Batched top-k admission is exact: checkpoint bytes and op counts
+    equal a run through the scalar offer loop and ``np.unique``."""
+
+    @staticmethod
+    def _twin_runs(monkeypatch, run):
+        """``run()`` as shipped, then with the scalar loop patched in."""
+        import repro.core.nitro as nitro_module
+        import repro.core.univmon_nitro as univmon_nitro_module
+        import repro.sketches.topk as topk_module
+
+        batched = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(topk_module.TopK, "offer_batch", _scalar_offer_batch)
+            for module in (topk_module, univmon_nitro_module):
+                patch.setattr(module, "sorted_distinct", np.unique)
+            for module in (nitro_module, univmon_nitro_module):
+                patch.setattr(module, "sorted_distinct_count", _unique_count)
+            scalar = run()
+        return batched, scalar
+
+    @staticmethod
+    def _trace(packets, seed):
+        from repro.traffic import caida_like
+
+        return caida_like(packets, seed=seed).keys
+
+    def test_service_tenant_monitor_16k_batches(self, monkeypatch):
+        from repro.control.export import serialize_monitor
+        from repro.service.tenants import ServiceConfig
+
+        keys = self._trace(16384 * 10, seed=31)
+
+        def run():
+            monitor = ServiceConfig().build_monitor("tenant")
+            monitor.ops = OpCounter()
+            for start in range(0, len(keys), 16384):
+                monitor.update_batch(keys[start : start + 16384])
+            assert monitor.converged
+            return serialize_monitor(monitor), monitor.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar
+
+    def test_service_windowed_512_key_frames(self, monkeypatch):
+        from repro.control.export import serialize_monitor
+        from repro.service.server import MonitoringService
+        from repro.service.tenants import ServiceConfig
+
+        keys = self._trace(512 * 160, seed=32)
+
+        def run():
+            service = MonitoringService(
+                ServiceConfig(window_epochs=4, epoch_batches=16), http=False
+            )
+            state = service.tenants.get_or_create("win")
+            state.daemon.monitor.ops = OpCounter()
+            for start in range(0, len(keys), 512):
+                assert service.ingest_direct("win", keys[start : start + 512])
+            monitor = state.daemon.monitor
+            return serialize_monitor(monitor), monitor.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("top_k", [5, 100])
+    @pytest.mark.parametrize("mode", [NitroMode.FIXED, NitroMode.ALWAYS_CORRECT])
+    @pytest.mark.parametrize("sketch_cls", [CountSketch, CountMinSketch])
+    def test_nitro_sketch_and_mode_matrix(self, monkeypatch, sketch_cls, mode, top_k):
+        from repro.control.export import serialize_monitor
+
+        keys = self._trace(60000, seed=33)
+
+        def run():
+            config = NitroConfig(
+                probability=0.1,
+                mode=mode,
+                epsilon=0.5,
+                convergence_check_period=1000,
+                top_k=top_k,
+                seed=5,
+            )
+            monitor = NitroSketch(sketch_cls(4, 2048, 5), config)
+            monitor.ops = OpCounter()
+            for start in range(0, len(keys), 4096):
+                monitor.update_batch(keys[start : start + 4096])
+            return serialize_monitor(monitor), monitor.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("mode", [NitroMode.FIXED, NitroMode.ALWAYS_CORRECT])
+    def test_nitro_univmon(self, monkeypatch, mode):
+        from repro.control.export import serialize_monitor
+        from repro.core import NitroUnivMon
+
+        keys = self._trace(40000, seed=34)
+
+        def run():
+            config = NitroConfig(
+                probability=0.1, mode=mode, epsilon=0.5,
+                convergence_check_period=1000, seed=6,
+            )
+            monitor = NitroUnivMon(levels=6, depth=3, widths=1024, k=8, config=config)
+            monitor.ops = OpCounter()
+            for start in range(0, len(keys), 4096):
+                monitor.update_batch(keys[start : start + 4096])
+            return serialize_monitor(monitor), monitor.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar
+
+    def test_nitro_merge(self, monkeypatch):
+        from repro.control.export import serialize_monitor
+
+        left_keys = self._trace(30000, seed=35)
+        right_keys = self._trace(30000, seed=36)
+
+        def run():
+            left = make_nitro(probability=0.1, width=2048, seed=7, top_k=10)
+            right = make_nitro(probability=0.1, width=2048, seed=7, top_k=10)
+            left.ops = OpCounter()
+            right.update_batch(right_keys)
+            left.update_batch(left_keys)
+            left.merge(right)
+            return serialize_monitor(left), left.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar
+
+    def test_tracked_sketch(self, monkeypatch):
+        from repro.sketches import TrackedSketch
+
+        keys = self._trace(30000, seed=37)
+
+        def run():
+            tracked = TrackedSketch(CountMinSketch(3, 1024, 8), k=6)
+            tracked.ops = OpCounter()
+            for start in range(0, len(keys), 2048):
+                tracked.update_batch(keys[start : start + 2048])
+            topk = tracked.topk
+            return list(topk._heap), list(topk.items()), tracked.ops.as_dict()
+
+        batched, scalar = self._twin_runs(monkeypatch, run)
+        assert batched == scalar

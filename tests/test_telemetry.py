@@ -314,6 +314,56 @@ class TestTelemetryFacade:
         assert span is null.span("y_seconds")  # shared stateless null span
 
 
+class TestResolvedChildCache:
+    """``Telemetry`` writers resolve each (kind, name, labels) child once."""
+
+    def test_repeat_writes_reuse_the_child_and_render_alike(self):
+        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        direct = MetricsRegistry()
+        for _ in range(3):
+            telemetry.count("requests_total", 2, method="get", code="200")
+            direct.counter("requests_total", "", ("code", "method")).labels(
+                code="200", method="get"
+            ).inc(2)
+        registry = telemetry.registry
+        assert len(registry._resolved) == 1
+        assert registry.get("requests_total").labels(method="get", code="200").value == 6.0
+        assert render_prometheus(registry) == render_prometheus(direct)
+
+    def test_reset_clears_the_cache(self):
+        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry.count("nitro_packets_total", 5, path="batch")
+        telemetry.registry.reset()
+        assert telemetry.registry._resolved == {}
+        telemetry.count("nitro_packets_total", 1, path="batch")
+        # A stale cached child would have kept counting from 5 off-registry.
+        family = telemetry.registry.get("nitro_packets_total")
+        assert family.labels(path="batch").value == 1.0
+
+    def test_kind_and_schema_mismatch_still_raise(self):
+        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry.count("nitro_packets_total", 1, path="batch")
+        telemetry.count("nitro_packets_total", 1, path="batch")  # cached
+        with pytest.raises(ValueError):
+            telemetry.count("nitro_packets_total", 1, route="batch")
+        with pytest.raises(ValueError):
+            telemetry.count("nitro_packets_total", 1)
+        with pytest.raises(ValueError):
+            telemetry.gauge("nitro_packets_total", 1.0, path="batch")
+
+    def test_non_str_label_values_resolve_uncached(self):
+        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        # 1 and 1.0 hash alike but render as different label values.
+        telemetry.count("worker_total", worker=1)
+        telemetry.count("worker_total", worker=1.0)
+        telemetry.count("tag_total", tag=["a"])  # unhashable
+        registry = telemetry.registry
+        values = [labels for labels, _ in registry.get("worker_total").children()]
+        assert values == [("1",), ("1.0",)]
+        assert registry.get("tag_total").labels(tag="['a']").value == 1.0
+        assert registry._resolved == {}
+
+
 class TestHTTPEndpoint:
     def test_serves_metrics_snapshot_and_trace(self):
         telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
