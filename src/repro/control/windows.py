@@ -306,7 +306,9 @@ class SlidingWindowMonitor:
         if not candidates:
             return []
         ordered = sorted(candidates)
-        estimates = self.query_batch(np.asarray(ordered, dtype=np.uint64))
+        # numpy picks the key dtype: int64 for wire keys (which may be
+        # negative), uint64 once a key reaches 2**63.
+        estimates = self.query_batch(np.asarray(ordered))
         hitters = [
             (key, float(est))
             for key, est in zip(ordered, estimates.tolist())
@@ -394,8 +396,12 @@ def export_window_metrics(window, telemetry, heavy_share: float = 0.01) -> None:
     count and entropy as ``window_*`` gauges so ``nitrosketch top``,
     ``/metrics`` and ``/snapshot`` can show window-scoped (not
     cumulative) traffic structure.  Cheap enough to run once per epoch
-    boundary; never on the per-batch hot path.
+    boundary; never on the per-batch hot path.  With telemetry off it
+    returns at once: the gauges need the merged window, which would be
+    built only to be thrown away.
     """
+    if not telemetry.enabled:
+        return
     from repro.telemetry.anomaly import entropy_from_estimates
 
     packets = window.window_packets()

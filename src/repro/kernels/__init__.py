@@ -10,6 +10,9 @@ Every batch update/query in the repository routes through this layer
 * :mod:`repro.kernels.distinct` -- sorted distinct keys by sort and
   adjacent-duplicate mask, and the distinct count of sorted input
   (both in place of ``np.unique``'s hash-table path);
+* :mod:`repro.kernels.median` -- the column-wise lower median of an
+  estimate matrix by a sorting network over its rows (in place of one
+  ``np.sort`` per column);
 * :mod:`repro.kernels.rowkernel` -- :class:`SketchKernel`, the fused
   whole-sketch update/query engine (replaces per-row Python loops).
 
@@ -19,6 +22,7 @@ Every batch update/query in the repository routes through this layer
 """
 
 from repro.kernels.distinct import sorted_distinct, sorted_distinct_count
+from repro.kernels.median import lower_median_rows
 from repro.kernels.mersenne import (
     fold_mersenne,
     kwise_raw_batch,
@@ -32,6 +36,7 @@ __all__ = [
     "SketchKernel",
     "fold_mersenne",
     "kwise_raw_batch",
+    "lower_median_rows",
     "mulmod_mersenne",
     "reduce_keys_mersenne",
     "scatter_add_2d",

@@ -220,7 +220,7 @@ class CanonicalSketch(Sketch):
     def query_batch(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorised point queries: ``float64`` estimates per key.
 
-        One fused row hash over the whole batch, one fancy-index gather
+        One fused row hash over the whole batch, one flat-index gather
         into a ``(depth, n)`` estimate matrix, then the sketch's own
         vectorised row combiner -- element-for-element identical to
         calling :meth:`query` per key, at a fraction of the cost (the

@@ -21,6 +21,7 @@ from typing import List
 
 import numpy as np
 
+from repro.kernels.median import lower_median_rows
 from repro.sketches.base import CanonicalSketch
 
 
@@ -39,7 +40,7 @@ class CountSketch(CanonicalSketch):
     def _combine_rows_batch(self, estimates: "np.ndarray") -> "np.ndarray":
         # Lower median, matching combine_rows (np.median would average
         # the middle pair for even depths).
-        return np.sort(estimates, axis=0)[(estimates.shape[0] - 1) // 2]
+        return lower_median_rows(estimates)
 
     def l2_estimate(self) -> float:
         """``sqrt`` of the AMS median-of-rows L2² estimator."""

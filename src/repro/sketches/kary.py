@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.kernels.median import lower_median_rows
 from repro.sketches.base import CanonicalSketch
 
 
@@ -63,7 +64,7 @@ class KArySketch(CanonicalSketch):
         return ordered[(len(ordered) - 1) // 2]
 
     def _combine_rows_batch(self, estimates: "np.ndarray") -> "np.ndarray":
-        return np.sort(estimates, axis=0)[(estimates.shape[0] - 1) // 2]
+        return lower_median_rows(estimates)
 
     def row_estimate(self, row: int, key: int) -> float:
         bucket = self.row_hashes[row](key)

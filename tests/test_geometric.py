@@ -1,10 +1,12 @@
 """Tests for the geometric sampler (Idea B)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.geometric import GeometricSampler, geometric_positions
+from repro.core.geometric import GeometricSampler, geometric_gaps, geometric_positions
 from repro.metrics.opcount import OpCounter
 
 
@@ -164,3 +166,108 @@ class TestGapsBatchBitIdentity:
         replayed.setstate(snapshot)
         assert replayed.probability == 0.25
         assert replayed.gaps_batch(50).tolist() == expected
+
+
+class _RecordingRng:
+    """A ``Generator`` stand-in that logs which draw method is called.
+
+    ``shrink`` scales every exponential draw down, and ``geometric``
+    inverts the scaled draws the way numpy does below ``p = 1/3``, so
+    both methods agree and the gaps come out shorter than Geometric(p).
+    """
+
+    def __init__(self, seed, shrink=1.0):
+        self._rng = np.random.default_rng(seed)
+        self._shrink = shrink
+        self.calls = []
+
+    def standard_exponential(self, size):
+        self.calls.append("standard_exponential")
+        return self._rng.standard_exponential(size) * self._shrink
+
+    def geometric(self, probability, size):
+        self.calls.append("geometric")
+        if self._shrink == 1.0:
+            return self._rng.geometric(probability, size=size)
+        draws = self._rng.standard_exponential(size) * self._shrink
+        return np.ceil(draws / -math.log1p(-probability)).astype(np.int64)
+
+
+def _mask_geometric_positions(probability, total_slots, rng):
+    """``geometric_positions`` as it was: ``rng.geometric`` draws, cut
+    with two boolean masks."""
+    if probability >= 1.0:
+        return np.arange(total_slots, dtype=np.int64), 0
+    expected = probability * total_slots
+    budget = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 2
+    positions = np.cumsum(rng.geometric(probability, size=budget)).astype(np.int64) - 1
+    while positions[-1] < total_slots:
+        extra = (
+            np.cumsum(rng.geometric(probability, size=budget)).astype(np.int64)
+            + positions[-1]
+        )
+        positions = np.concatenate([positions, extra])
+    beyond = positions[positions >= total_slots]
+    return positions[positions < total_slots], int(beyond[0]) - total_slots
+
+
+class TestGeometricGapsIdentity:
+    """``geometric_gaps`` is ``rng.geometric``, draw for draw."""
+
+    @pytest.mark.parametrize("size", [1, 8737])
+    @pytest.mark.parametrize("probability", [0.01, 0.1, 1 / 16, 1 / 128, 0.3])
+    def test_inversion_equals_numpy_draws_and_state(self, probability, size):
+        for seed in range(5):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            gaps = geometric_gaps(probability, size, ours)
+            expected = reference.geometric(probability, size=size)
+            assert gaps.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(gaps, expected)
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "probability, method",
+        [
+            (0.3, "standard_exponential"),
+            (1 / 3, "geometric"),
+            (0.5, "geometric"),
+        ],
+    )
+    def test_method_switches_at_one_third(self, probability, method):
+        rng = _RecordingRng(seed=12)
+        gaps = geometric_gaps(probability, 500, rng)
+        assert rng.calls == [method]
+        expected = np.random.default_rng(12).geometric(probability, size=500)
+        np.testing.assert_array_equal(gaps, expected)
+
+
+class TestGeometricPositionsCut:
+    """The ``searchsorted`` cut equals the two-mask cut it replaced."""
+
+    @pytest.mark.parametrize("total_slots", [0, 1, 5, 4096, 81920])
+    @pytest.mark.parametrize("probability", [0.01, 0.1, 1 / 3, 0.5, 1.0])
+    def test_matches_mask_reference(self, probability, total_slots):
+        for seed in range(3):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            positions, leftover = geometric_positions(probability, total_slots, ours)
+            expected, expected_leftover = _mask_geometric_positions(
+                probability, total_slots, reference
+            )
+            assert positions.dtype == np.int64
+            np.testing.assert_array_equal(positions, expected)
+            assert leftover == expected_leftover
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("probability", [0.1, 0.5])
+    def test_budget_overflow_loop(self, probability):
+        ours = _RecordingRng(seed=13, shrink=0.2)
+        reference = _RecordingRng(seed=13, shrink=0.2)
+        positions, leftover = geometric_positions(probability, 20000, ours)
+        expected, expected_leftover = _mask_geometric_positions(
+            probability, 20000, reference
+        )
+        assert len(ours.calls) > 1  # the first budget fell short
+        np.testing.assert_array_equal(positions, expected)
+        assert leftover == expected_leftover

@@ -28,6 +28,7 @@ from repro.kernels import (
     SketchKernel,
     fold_mersenne,
     kwise_raw_batch,
+    lower_median_rows,
     mulmod_mersenne,
     reduce_keys_mersenne,
     scatter_add_2d,
@@ -354,6 +355,48 @@ def test_query_batch_matches_scalar_query(sketch_cls, family):
 def test_query_batch_empty():
     sketch = CountSketch(depth=3, width=64, seed=1)
     assert sketch.query_batch(np.array([], dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 3300])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_lower_median_rows_equals_sort_median(depth, n):
+    rng = np.random.default_rng(depth * 10000 + n)
+    # Half the entries from a small set (ties, zeros and infinities),
+    # half continuous.
+    ties = rng.choice([-np.inf, -2.0, -0.0, 0.0, 1.5, np.inf], size=(depth, n))
+    matrix = np.where(rng.random((depth, n)) < 0.5, ties, rng.normal(size=(depth, n)))
+    before = matrix.copy()
+    got = lower_median_rows(matrix)
+    expected = np.sort(matrix, axis=0)[(depth - 1) // 2]
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    # By value: np.sort orders -0.0 and 0.0 arbitrarily.
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(matrix, before)
+    assert not np.shares_memory(got, matrix)
+
+
+def _fancy_estimates(kernel, keys):
+    """The 2-D fancy-index gather ``estimate_matrix`` replaced."""
+    values = kernel.sketch.counters[kernel._rows, kernel.bucket_matrix(keys)]
+    signs = kernel.sign_matrix(keys)
+    return values if signs is None else values * signs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("sketch_cls", SKETCHES)
+def test_estimate_matrix_equals_fancy_index_read(sketch_cls, family):
+    sketch = sketch_cls(depth=5, width=257, seed=21, hash_family=family)
+    sketch.update_batch(_keys(n=4000, seed=22))
+    kernel = sketch.kernel
+    keys = _keys(n=3300, seed=23)
+    assert sketch.counters.flags.c_contiguous
+    assert kernel.estimate_matrix(keys).tobytes() == _fancy_estimates(kernel, keys).tobytes()
+    # The same counters as a strided (non-contiguous) view.
+    wide = np.zeros((sketch.depth, 2 * sketch.width))
+    wide[:, ::2] = sketch.counters
+    sketch.counters = wide[:, ::2]
+    assert not sketch.counters.flags.c_contiguous
+    assert kernel.estimate_matrix(keys).tobytes() == _fancy_estimates(kernel, keys).tobytes()
 
 
 # -- operation accounting --------------------------------------------------

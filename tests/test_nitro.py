@@ -342,6 +342,68 @@ def _unique_count(values):
     return int(np.unique(values).size)
 
 
+def _caida_keys(packets, seed):
+    from repro.traffic import caida_like
+
+    return caida_like(packets, seed=seed).keys
+
+
+def _tenant_monitor_run(keys):
+    """A service tenant's monitor fed 16k-key batches."""
+    from repro.control.export import serialize_monitor
+    from repro.service.tenants import ServiceConfig
+
+    def run():
+        monitor = ServiceConfig().build_monitor("tenant")
+        monitor.ops = OpCounter()
+        for start in range(0, len(keys), 16384):
+            monitor.update_batch(keys[start : start + 16384])
+        assert monitor.converged
+        return serialize_monitor(monitor), monitor.ops.as_dict()
+
+    return run
+
+
+def _windowed_frames_run(keys):
+    """A windowed service tenant fed 512-key frames, then queried."""
+    from repro.control.export import serialize_monitor
+    from repro.service.server import MonitoringService
+    from repro.service.tenants import ServiceConfig
+
+    def run():
+        service = MonitoringService(
+            ServiceConfig(window_epochs=4, epoch_batches=16), http=False
+        )
+        state = service.tenants.get_or_create("win")
+        state.daemon.monitor.ops = OpCounter()
+        for start in range(0, len(keys), 512):
+            assert service.ingest_direct("win", keys[start : start + 512])
+        monitor = state.daemon.monitor
+        hitters = monitor.heavy_hitters(0.001 * monitor.window_packets())
+        return serialize_monitor(monitor), monitor.ops.as_dict(), hitters
+
+    return run
+
+
+def _univmon_run(keys, mode):
+    """NitroUnivMon fed 4096-key batches."""
+    from repro.control.export import serialize_monitor
+    from repro.core import NitroUnivMon
+
+    def run():
+        config = NitroConfig(
+            probability=0.1, mode=mode, epsilon=0.5,
+            convergence_check_period=1000, seed=6,
+        )
+        monitor = NitroUnivMon(levels=6, depth=3, widths=1024, k=8, config=config)
+        monitor.ops = OpCounter()
+        for start in range(0, len(keys), 4096):
+            monitor.update_batch(keys[start : start + 4096])
+        return serialize_monitor(monitor), monitor.ops.as_dict()
+
+    return run
+
+
 class TestBatchTopKAdmission:
     """Batched top-k admission is exact: checkpoint bytes and op counts
     equal a run through the scalar offer loop and ``np.unique``."""
@@ -363,47 +425,13 @@ class TestBatchTopKAdmission:
             scalar = run()
         return batched, scalar
 
-    @staticmethod
-    def _trace(packets, seed):
-        from repro.traffic import caida_like
-
-        return caida_like(packets, seed=seed).keys
-
     def test_service_tenant_monitor_16k_batches(self, monkeypatch):
-        from repro.control.export import serialize_monitor
-        from repro.service.tenants import ServiceConfig
-
-        keys = self._trace(16384 * 10, seed=31)
-
-        def run():
-            monitor = ServiceConfig().build_monitor("tenant")
-            monitor.ops = OpCounter()
-            for start in range(0, len(keys), 16384):
-                monitor.update_batch(keys[start : start + 16384])
-            assert monitor.converged
-            return serialize_monitor(monitor), monitor.ops.as_dict()
-
+        run = _tenant_monitor_run(_caida_keys(16384 * 10, seed=31))
         batched, scalar = self._twin_runs(monkeypatch, run)
         assert batched == scalar
 
     def test_service_windowed_512_key_frames(self, monkeypatch):
-        from repro.control.export import serialize_monitor
-        from repro.service.server import MonitoringService
-        from repro.service.tenants import ServiceConfig
-
-        keys = self._trace(512 * 160, seed=32)
-
-        def run():
-            service = MonitoringService(
-                ServiceConfig(window_epochs=4, epoch_batches=16), http=False
-            )
-            state = service.tenants.get_or_create("win")
-            state.daemon.monitor.ops = OpCounter()
-            for start in range(0, len(keys), 512):
-                assert service.ingest_direct("win", keys[start : start + 512])
-            monitor = state.daemon.monitor
-            return serialize_monitor(monitor), monitor.ops.as_dict()
-
+        run = _windowed_frames_run(_caida_keys(512 * 160, seed=32))
         batched, scalar = self._twin_runs(monkeypatch, run)
         assert batched == scalar
 
@@ -413,7 +441,7 @@ class TestBatchTopKAdmission:
     def test_nitro_sketch_and_mode_matrix(self, monkeypatch, sketch_cls, mode, top_k):
         from repro.control.export import serialize_monitor
 
-        keys = self._trace(60000, seed=33)
+        keys = _caida_keys(60000, seed=33)
 
         def run():
             config = NitroConfig(
@@ -435,30 +463,15 @@ class TestBatchTopKAdmission:
 
     @pytest.mark.parametrize("mode", [NitroMode.FIXED, NitroMode.ALWAYS_CORRECT])
     def test_nitro_univmon(self, monkeypatch, mode):
-        from repro.control.export import serialize_monitor
-        from repro.core import NitroUnivMon
-
-        keys = self._trace(40000, seed=34)
-
-        def run():
-            config = NitroConfig(
-                probability=0.1, mode=mode, epsilon=0.5,
-                convergence_check_period=1000, seed=6,
-            )
-            monitor = NitroUnivMon(levels=6, depth=3, widths=1024, k=8, config=config)
-            monitor.ops = OpCounter()
-            for start in range(0, len(keys), 4096):
-                monitor.update_batch(keys[start : start + 4096])
-            return serialize_monitor(monitor), monitor.ops.as_dict()
-
+        run = _univmon_run(_caida_keys(40000, seed=34), mode)
         batched, scalar = self._twin_runs(monkeypatch, run)
         assert batched == scalar
 
     def test_nitro_merge(self, monkeypatch):
         from repro.control.export import serialize_monitor
 
-        left_keys = self._trace(30000, seed=35)
-        right_keys = self._trace(30000, seed=36)
+        left_keys = _caida_keys(30000, seed=35)
+        right_keys = _caida_keys(30000, seed=36)
 
         def run():
             left = make_nitro(probability=0.1, width=2048, seed=7, top_k=10)
@@ -475,7 +488,7 @@ class TestBatchTopKAdmission:
     def test_tracked_sketch(self, monkeypatch):
         from repro.sketches import TrackedSketch
 
-        keys = self._trace(30000, seed=37)
+        keys = _caida_keys(30000, seed=37)
 
         def run():
             tracked = TrackedSketch(CountMinSketch(3, 1024, 8), k=6)
@@ -487,3 +500,103 @@ class TestBatchTopKAdmission:
 
         batched, scalar = self._twin_runs(monkeypatch, run)
         assert batched == scalar
+
+
+def _sort_lower_median(estimates):
+    """The ``np.sort`` lower median ``lower_median_rows`` replaced."""
+    return np.sort(estimates, axis=0)[(estimates.shape[0] - 1) // 2]
+
+
+def _fancy_estimate_matrix(self, keys):
+    """The 2-D fancy-index gather ``SketchKernel.estimate_matrix`` replaced."""
+    values = self.sketch.counters[self._rows, self.bucket_matrix(keys)]
+    signs = self.sign_matrix(keys)
+    return values if signs is None else values * signs
+
+
+def _numpy_geometric_gaps(probability, size, rng):
+    """The ``rng.geometric`` call ``geometric_gaps`` replaced."""
+    return rng.geometric(probability, size=size)
+
+
+class TestExactQueryAndDrawKernels:
+    """The batch-query and geometric-draw kernels are exact: checkpoint
+    bytes and op counts equal a run through ``np.sort``'s lower median,
+    the 2-D fancy-index gather and ``rng.geometric``."""
+
+    @staticmethod
+    def _twin_runs(monkeypatch, run):
+        """``run()`` as shipped, then with the replaced idioms patched in."""
+        import repro.core.geometric as geometric_module
+        import repro.sketches.countsketch as countsketch_module
+        import repro.sketches.kary as kary_module
+        from repro.kernels import SketchKernel
+
+        fast = run()
+        with monkeypatch.context() as patch:
+            for module in (countsketch_module, kary_module):
+                patch.setattr(module, "lower_median_rows", _sort_lower_median)
+            patch.setattr(SketchKernel, "estimate_matrix", _fancy_estimate_matrix)
+            patch.setattr(geometric_module, "geometric_gaps", _numpy_geometric_gaps)
+            reference = run()
+        return fast, reference
+
+    def test_service_tenant_monitor_16k_batches(self, monkeypatch):
+        run = _tenant_monitor_run(_caida_keys(16384 * 10, seed=41))
+        fast, reference = self._twin_runs(monkeypatch, run)
+        assert fast == reference
+
+    def test_service_windowed_512_key_frames(self, monkeypatch):
+        run = _windowed_frames_run(_caida_keys(512 * 160, seed=42))
+        fast, reference = self._twin_runs(monkeypatch, run)
+        assert fast == reference
+
+    @pytest.mark.parametrize(
+        "mode",
+        [NitroMode.FIXED, NitroMode.ALWAYS_LINE_RATE, NitroMode.ALWAYS_CORRECT],
+    )
+    @pytest.mark.parametrize("sketch_cls", [CountSketch, CountMinSketch, KArySketch])
+    def test_nitro_sketch_and_mode_matrix(self, monkeypatch, sketch_cls, mode):
+        from repro.control.export import serialize_monitor
+
+        keys = _caida_keys(80000, seed=43)
+        batch = 4096
+
+        def run():
+            config = NitroConfig(
+                probability=0.1,
+                mode=mode,
+                epsilon=0.5,
+                convergence_check_period=1000,
+                adaptation_epoch_seconds=0.001,
+                top_k=50,
+                seed=9,
+            )
+            monitor = NitroSketch(sketch_cls(5, 2048, 9), config)
+            monitor.ops = OpCounter()
+            probabilities = set()
+            for index, start in enumerate(range(0, len(keys), batch)):
+                # AlwaysLineRate: 1.25 Mpps gives p = 1/2 (numpy's search
+                # method), 20 Mpps a p below 1/3 (inversion).
+                rate = 1.25e6 if index % 4 < 2 else 20e6
+                monitor.update_batch(
+                    keys[start : start + batch], duration_seconds=batch / rate
+                )
+                probabilities.add(monitor.probability)
+            if mode is NitroMode.ALWAYS_LINE_RATE:
+                assert 0.5 in probabilities and min(probabilities) < 1 / 3
+            estimates = monitor.sketch.query_batch(keys[:3300])
+            return (
+                serialize_monitor(monitor),
+                monitor.ops.as_dict(),
+                estimates.tolist(),
+            )
+
+        fast, reference = self._twin_runs(monkeypatch, run)
+        assert fast == reference
+
+    @pytest.mark.parametrize("mode", [NitroMode.FIXED, NitroMode.ALWAYS_CORRECT])
+    def test_nitro_univmon(self, monkeypatch, mode):
+        run = _univmon_run(_caida_keys(40000, seed=44), mode)
+        fast, reference = self._twin_runs(monkeypatch, run)
+        assert fast == reference

@@ -480,6 +480,29 @@ class TestServiceEndToEnd:
         finally:
             service.stop()
 
+    def test_windowed_tenant_ingests_negative_keys(self):
+        """Regression: a negative wire key crashed the window's
+        heavy-hitter query at an epoch boundary, which killed the shared
+        drainer and stalled every tenant's sync."""
+        service = self._start(window_epochs=2, epoch_batches=4)
+        try:
+            keys = np.random.default_rng(21).integers(-1000, 1000, 8192)
+            keys[::4] = -7
+            with IngestClient("127.0.0.1", service.ingest_port, timeout=15) as client:
+                for start in range(0, len(keys), 512):
+                    client.ingest("neg", keys[start : start + 512])
+                    client.ingest("other", np.abs(keys[start : start + 512]))
+                assert client.sync("neg")["packets_ingested"] == len(keys)
+                assert client.sync("other")["packets_ingested"] == len(keys)
+            status, hh = _http(service.http_port, "/tenants/neg/heavy_hitters?share=0.1")
+            assert status == 200
+            assert [h["key"] for h in hh["heavy_hitters"]] == [-7]
+            status, hh = _http(service.http_port, "/tenants/other/heavy_hitters?share=0.1")
+            assert status == 200
+            assert [h["key"] for h in hh["heavy_hitters"]] == [7]
+        finally:
+            service.stop()
+
     def test_malformed_wire_frame_closes_connection(self):
         service = self._start(epoch_batches=0)
         try:

@@ -221,6 +221,94 @@ class TestPipelineWiring:
         assert snap["window_packets"]["samples"][0]["value"] > 0
         assert snap["anomaly_epochs_total"]["samples"][0]["value"] == 4.0
 
+    def test_daemon_window_accepts_negative_wire_keys(self):
+        """Regression: wire keys are signed int64, and the window's
+        heavy-hitter query cast its candidates to uint64, so a negative
+        key raised OverflowError at the first epoch boundary."""
+        from repro.service.records import batch_from_keys
+        from repro.switchsim import MeasurementDaemon
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        daemon = MeasurementDaemon(
+            nitro_factory()(), telemetry=telemetry, epoch_batches=4, window_epochs=2
+        )
+        keys = np.random.default_rng(31).integers(-1000, 1000, 8192)
+        keys[::4] = -7
+        for start in range(0, len(keys), 512):
+            daemon.ingest(batch_from_keys(keys[start : start + 512]))
+        window = daemon.monitor
+        assert window.epochs_rotated == 4
+        snap = telemetry.snapshot()["metrics"]
+        assert snap["window_heavy_hitters"]["samples"][0]["value"] >= 1.0
+        hitters = window.heavy_hitters(0.1 * window.window_packets())
+        assert [key for key, _ in hitters] == [-7]
+
+    def test_window_heavy_hitters_keep_keys_above_int64(self):
+        window = SlidingWindowMonitor(nitro_factory(), window_epochs=2, epoch_packets=1000)
+        big = (1 << 63) + 12345
+        window.update_batch(np.full(1500, big, dtype=np.uint64))
+        assert [key for key, _ in window.heavy_hitters(100.0)] == [big]
+
+    def test_null_telemetry_boundary_builds_no_merged_window(self, monkeypatch):
+        from repro.control import ControlPlane, HeavyHitterTask
+        from repro.switchsim import MeasurementDaemon
+        from repro.traffic import caida_like
+        from repro.traffic.replay import Replayer
+
+        merges = []
+        merged = SlidingWindowMonitor.merged
+
+        def spy(window):
+            merges.append(window)
+            return merged(window)
+
+        monkeypatch.setattr(SlidingWindowMonitor, "merged", spy)
+        daemon = MeasurementDaemon(nitro_factory()(), epoch_batches=2, window_epochs=3)
+        trace = caida_like(4096, n_flows=300, seed=9)
+        for batch in Replayer(trace, batch_size=512).batches():
+            daemon.ingest(batch)
+        assert daemon.monitor.epochs_rotated == 4
+        factory = lambda epoch: nitro_factory(seed=12, probability=0.5)()
+        plane = ControlPlane(factory, [HeavyHitterTask()], score=False, window_epochs=2)
+        plane.run_epochs(trace, epoch_packets=2000)
+        assert plane.window.epochs_rotated == 3
+        assert merges == []
+        daemon.monitor.query_batch(trace.keys[:8])  # queries still merge
+        assert merges == [daemon.monitor]
+
+    def test_live_telemetry_window_gauges_describe_the_window(self):
+        from repro.switchsim import MeasurementDaemon
+        from repro.telemetry import Telemetry
+        from repro.telemetry.anomaly import entropy_from_estimates
+        from repro.traffic import caida_like
+        from repro.traffic.replay import Replayer
+
+        telemetry = Telemetry()
+        daemon = MeasurementDaemon(
+            nitro_factory()(), telemetry=telemetry, epoch_batches=2, window_epochs=3
+        )
+        trace = caida_like(4096, n_flows=300, seed=9)
+        for batch in Replayer(trace, batch_size=512).batches():
+            daemon.ingest(batch)
+        window = daemon.monitor
+        packets = window.window_packets()
+        hitters = window.heavy_hitters(0.01 * packets)
+        snap = telemetry.snapshot()["metrics"]
+        gauges = {
+            name: snap[name]["samples"][0]["value"]
+            for name in snap
+            if name.startswith("window_")
+        }
+        assert gauges == {
+            "window_epochs_spanned": float(len(window.window_monitors())),
+            "window_epochs_rotated": 4.0,
+            "window_packets": float(packets),
+            "window_memory_bytes": float(window.memory_bytes()),
+            "window_heavy_hitters": float(len(hitters)),
+            "window_entropy_bits": entropy_from_estimates(dict(hitters), float(packets)),
+        }
+
     def test_daemon_rejects_negative_window(self):
         from repro.switchsim import MeasurementDaemon
 
