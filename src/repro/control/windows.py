@@ -8,19 +8,12 @@ merge.  This is the standard "basic window" technique -- memory is
 ``W`` sketches, and answers cover the most recent ``W`` epochs with
 epoch-granularity staleness (docs/WINDOWS.md).
 
-Two driving modes share one ring:
-
-* **packet-driven** -- :meth:`SlidingWindowMonitor.update_batch`
-  rotates automatically every ``epoch_packets`` packets (or an owner
-  such as :class:`~repro.switchsim.daemon.MeasurementDaemon` calls
-  :meth:`~SlidingWindowMonitor.rotate` on its own epoch boundaries when
-  ``epoch_packets == 0``).  The window is the ``window_epochs - 1``
-  most recent completed epochs plus the in-progress one.
-* **epoch-driven** -- a control plane that already builds one monitor
-  per epoch pushes each completed monitor with
-  :meth:`~SlidingWindowMonitor.adopt_epoch`; the ring then holds up to
-  ``window_epochs`` completed epochs and the in-progress slot stays
-  empty.
+Epochs close through :meth:`SlidingWindowMonitor.rotate`:
+:meth:`~SlidingWindowMonitor.update_batch` calls it every
+``epoch_packets`` packets, or, with ``epoch_packets == 0``, an owner
+such as :class:`~repro.switchsim.daemon.MeasurementDaemon` calls it on
+its own epoch boundaries.  The window is the ``window_epochs - 1`` most
+recent completed epochs plus the in-progress one.
 
 Works with any mergeable monitor (canonical sketches and NitroSketch
 wrappers); the factory must produce same-seed instances.  The whole
@@ -57,12 +50,12 @@ class SlidingWindowMonitor:
         Builds one epoch monitor; must produce merge-compatible
         instances (same seed/shape).
     window_epochs:
-        Number of epochs the window spans (including the in-progress
-        epoch in packet-driven mode).
+        Number of epochs the window spans, including the in-progress
+        epoch.
     epoch_packets:
         Packets per epoch (the rotation granularity).  ``0`` disables
-        automatic rotation: the owner calls :meth:`rotate` (or
-        :meth:`adopt_epoch`) on its own epoch boundaries.
+        automatic rotation: the owner calls :meth:`rotate` on its own
+        epoch boundaries.
     """
 
     def __init__(
@@ -79,10 +72,8 @@ class SlidingWindowMonitor:
         self.window_epochs = int(window_epochs)
         self.epoch_packets = int(epoch_packets)
         # Completed epochs inside the window (the in-progress epoch is
-        # held separately), so the window is ring + current.  Trimming
-        # is manual: rotate() keeps window_epochs - 1 completed epochs
-        # (the in-progress one fills the last slot), adopt_epoch()
-        # keeps window_epochs (its in-progress slot stays empty).
+        # held separately), so the window is ring + current: rotate()
+        # keeps window_epochs - 1 completed epochs.
         self._ring: Deque = deque()
         self._ring_counts: Deque[int] = deque()
         self._current = monitor_factory()
@@ -232,27 +223,6 @@ class SlidingWindowMonitor:
         self.epochs_rotated += 1
         self._merged = None
 
-    def adopt_epoch(self, monitor, packets: int) -> None:
-        """Push an externally-built completed epoch monitor into the ring.
-
-        Epoch-driven mode for owners (the control plane) that already
-        build one monitor per epoch.  The in-progress slot must be
-        empty -- the two ingest modes don't mix mid-epoch.
-        """
-        if self._current_count:
-            raise ValueError(
-                "adopt_epoch with %d packets in the in-progress epoch; "
-                "rotate() first or don't mix ingest modes"
-                % (self._current_count,)
-            )
-        self._ring.append(monitor)
-        self._ring_counts.append(int(packets))
-        while len(self._ring) > self.window_epochs:
-            self._ring.popleft()
-            self._ring_counts.popleft()
-        self.epochs_rotated += 1
-        self._merged = None
-
     # -- queries ------------------------------------------------------------
 
     def window_monitors(self) -> List:
@@ -363,9 +333,9 @@ class SlidingWindowMonitor:
                 "window: ring holds %d monitors but %d packet counts"
                 % (len(self._ring), len(self._ring_counts))
             )
-        if len(self._ring) > self.window_epochs:
+        if len(self._ring) > self.window_epochs - 1:
             violations.append(
-                "window: ring holds %d epochs, window spans %d"
+                "window: ring holds %d completed epochs, window spans %d"
                 % (len(self._ring), self.window_epochs)
             )
         if self._current_count < 0:

@@ -359,10 +359,10 @@ def window_overhead(
 
     keys = _trace_keys(scale, seed, floor=100_000, full=400_000)
     chunks = _chunked(keys, chunk)
-    # Batch-aligned epochs: the deployed owners (daemon ``epoch_batches``,
-    # control-plane ``adopt_epoch``) rotate *between* batches, so the
-    # gate measures that shape; a misaligned ``epoch_packets`` would
-    # additionally split one batch per epoch into two kernel calls.
+    # Batch-aligned epochs: the deployed owner (daemon ``epoch_batches``)
+    # rotates *between* batches, so the gate measures that shape; a
+    # misaligned ``epoch_packets`` would additionally split one batch
+    # per epoch into two kernel calls.
     epoch_packets = max(chunk, len(keys) // epochs_per_pass // chunk * chunk)
 
     def build():

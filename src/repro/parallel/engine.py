@@ -537,8 +537,8 @@ class ParallelIngestEngine:
         Epoch window in packets (``merge`` only); None means one epoch.
     reset_per_epoch:
         ``merge`` only: workers reset their monitor after each publish,
-        so each merged epoch monitor covers exactly one epoch -- the
-        :class:`~repro.control.ControlPlane` per-epoch semantics.
+        so each merged monitor that ``run(on_epoch=...)`` delivers
+        covers exactly one epoch.
     max_restarts:
         Total worker-respawn budget before
         :class:`WorkerCrashError` (default: ``workers``).
@@ -548,12 +548,6 @@ class ParallelIngestEngine:
     crash_plan / corruption_plan:
         Deterministic fault injection (see :mod:`repro.faults.inject`);
         production runs leave both None.
-    alerts:
-        Optional :class:`~repro.telemetry.alerts.AlertManager`.  After
-        every run's worker-level signals are fanned into telemetry
-        (restarts, corrupt frames, per-worker rates), the manager runs
-        one evaluation round, so rules such as ``worker_crash_loop``
-        fire off the same data the ``nitrosketch top`` panel shows.
     """
 
     def __init__(
@@ -572,7 +566,6 @@ class ParallelIngestEngine:
         start_method: Optional[str] = None,
         crash_plan: Optional[WorkerCrashPlan] = None,
         corruption_plan: Optional[FrameCorruptionPlan] = None,
-        alerts=None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1, got %d" % workers)
@@ -603,7 +596,6 @@ class ParallelIngestEngine:
         self.start_method = start_method
         self.crash_plan = crash_plan
         self.corruption_plan = corruption_plan
-        self.alerts = alerts
 
     # -- helpers ---------------------------------------------------------------
 
@@ -672,8 +664,10 @@ class ParallelIngestEngine:
 
         ``assignments`` overrides the RSS shard map (must match the one
         used by any companion modeled run); ``on_epoch(epoch, merged,
-        metas)`` delivers each epoch's merged monitor as it lands --
-        the control-plane hand-off hook.
+        metas)`` delivers each epoch's merged monitor as it lands.
+        Worker signals (restarts, corrupt frames, per-worker rates) are
+        fanned into telemetry before returning, so a caller's
+        ``AlertManager.evaluate()`` after the run sees them.
         """
         reason = parallel_unavailable_reason()
         if reason is not None:
@@ -827,8 +821,6 @@ class ParallelIngestEngine:
         from repro.telemetry.fanin import record_parallel_run
 
         record_parallel_run(self.telemetry, result)
-        if self.alerts is not None:
-            self.alerts.evaluate()
         return result
 
     def _spawn(self, spec: WorkerSpec) -> None:

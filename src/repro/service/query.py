@@ -17,8 +17,8 @@ Endpoints (all JSON, all read-only):
     The anomaly detectors' latest epoch signals (change score, entropy
     drop, heavy-hitter churn) -- present once one detector epoch closed.
 ``GET /tenants/<id>/reports``
-    The control-plane task catalogue evaluated online against the live
-    sketch (:meth:`~repro.control.plane.ControlPlane.evaluate_online_epoch`).
+    :class:`~repro.control.tasks.HeavyHitterTask` evaluated against the
+    live sketch, at the tenant's completed-epoch count.
 
 When the tenant is audited (``ServiceConfig.audit``), every estimate
 endpoint embeds the live Theorem-bound verdict of its
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 Reply = Tuple[int, str, str]
@@ -238,36 +238,30 @@ class QueryRoutes:
             )
 
     def _reports(self, state, params) -> Reply:
-        from repro.control.plane import ControlPlane
         from repro.control.tasks import HeavyHitterTask
 
         share_arg = self._param(params, "share")
         share = float(share_arg) if share_arg is not None else 0.01
         if not 0 < share < 1:
             raise ValueError("share must be in (0, 1)")
-        plane = ControlPlane(
-            monitor_factory=lambda epoch: state.daemon.monitor,
-            tasks=[HeavyHitterTask(threshold_fraction=share)],
-            score=False,
-            telemetry=self.service.telemetry,
-        )
+        task = HeavyHitterTask(threshold_fraction=share)
         with state.lock:
             packets = self._traffic_packets(state)
-            report = plane.evaluate_online_epoch(
-                state.daemon.monitor, state.daemon.epochs_completed, packets
-            )
-            tasks: List[Dict] = []
-            for name, task_report in report.reports.items():
-                tasks.append(
-                    {
-                        "task": name,
-                        "estimate": task_report.estimate,
-                        "detected": {
-                            str(key): float(est)
-                            for key, est in task_report.detected.items()
-                        },
-                    }
-                )
+            report = task.evaluate(state.daemon.monitor, packets)
             return self._answer(
-                state, {"epoch": report.epoch, "packets": packets, "tasks": tasks}
+                state,
+                {
+                    "epoch": state.daemon.epochs_completed,
+                    "packets": packets,
+                    "tasks": [
+                        {
+                            "task": report.task,
+                            "estimate": report.estimate,
+                            "detected": {
+                                str(key): float(est)
+                                for key, est in report.detected.items()
+                            },
+                        }
+                    ],
+                },
             )

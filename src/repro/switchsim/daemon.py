@@ -81,9 +81,12 @@ class MeasurementDaemon:
     checkpoints:
         Optional :class:`~repro.control.checkpoint.CheckpointManager`.
         With ``checkpoint_interval > 0`` the daemon checkpoints its
-        monitor every that many ingested batches; the distance to the
-        last checkpoint is exported as ``daemon_checkpoint_age_batches``
-        for the ``checkpoint_staleness`` health rule.
+        monitor every that many ingested batches, after the batch's
+        epoch step; the distance to the last checkpoint is exported as
+        ``daemon_checkpoint_age_batches`` for the
+        ``checkpoint_staleness`` health rule.  A checkpoint carries the
+        epoch cadence (epochs completed, batches and packets since the
+        last boundary), so :meth:`restore_latest` resumes it.
     anomaly / alerts / epoch_batches:
         The alert plane's epoch hook.  With ``epoch_batches > 0`` every
         that many ingested batches closes a detector epoch: the
@@ -99,11 +102,12 @@ class MeasurementDaemon:
         spanning that many epochs (a monitor that already *is* one is
         used as-is) and every :meth:`epoch_boundary` rotates the ring.
         The anomaly detectors then observe the completed epoch's ring
-        member directly (``cumulative`` is forced off -- each epoch
-        sketch holds exactly one epoch of traffic), alert rules see
-        windowed signals, and window-scoped gauges (``window_*``) are
-        re-exported after each rotation.  Checkpoints carry the whole
-        ring; :meth:`restore_latest` resumes mid-epoch byte-exactly.
+        member directly (the daemon sets their ``cumulative`` to
+        ``not windowed`` -- each epoch sketch holds exactly one epoch
+        of traffic), alert rules see windowed signals, and
+        window-scoped gauges (``window_*``) are re-exported after each
+        rotation.  Checkpoints carry the whole ring; :meth:`restore_latest`
+        resumes mid-epoch byte-exactly, and so does further ingest.
     """
 
     def __init__(
@@ -134,11 +138,6 @@ class MeasurementDaemon:
         self.window_epochs = (
             monitor.window_epochs if self.windowed else 0
         )
-        if self.windowed and anomaly is not None:
-            # Each ring epoch holds exactly one epoch of traffic, so the
-            # detectors query it directly instead of differencing
-            # against a cumulative snapshot.
-            anomaly.cumulative = False
         self.mode = mode
         self.name = name or type(monitor).__name__
         self.use_batch = use_batch and hasattr(monitor, "update_batch")
@@ -169,6 +168,7 @@ class MeasurementDaemon:
         if epoch_batches < 0:
             raise ValueError("epoch_batches must be >= 0, got %d" % epoch_batches)
         self.anomaly = anomaly
+        self._shape_detectors()
         self.alerts = alerts
         self.epoch_batches = epoch_batches
         self.epochs_completed = 0
@@ -206,6 +206,13 @@ class MeasurementDaemon:
         if hasattr(monitor, "profiler"):
             monitor.profiler = self._profiler
 
+    def _shape_detectors(self) -> None:
+        """Each ring epoch holds exactly one epoch of traffic, so the
+        detectors of a windowed daemon query it directly instead of
+        differencing against a cumulative snapshot."""
+        if self.anomaly is not None:
+            self.anomaly.cumulative = not self.windowed
+
     def ingest(self, batch: Batch) -> None:
         """Feed one batch to the monitor."""
         self.packets_offered += len(batch)
@@ -221,6 +228,12 @@ class MeasurementDaemon:
             self.auditor.observe_batch(batch.keys)
         telemetry.record_ops(self.ops, component=self.name)
         self.batches_ingested += 1
+        self._batches_since_epoch += 1
+        self._packets_since_epoch += len(batch)
+        if self.epoch_batches > 0 and self._batches_since_epoch >= self.epoch_batches:
+            self.epoch_boundary()
+        # Checkpoint after the epoch step, so a checkpoint written on a
+        # boundary batch holds the rotated ring and a zeroed cadence.
         self._batches_since_checkpoint += 1
         if (
             self.checkpoints is not None
@@ -234,10 +247,6 @@ class MeasurementDaemon:
                 self._batches_since_checkpoint,
                 daemon=self.name,
             )
-        self._batches_since_epoch += 1
-        self._packets_since_epoch += len(batch)
-        if self.epoch_batches > 0 and self._batches_since_epoch >= self.epoch_batches:
-            self.epoch_boundary()
 
     def epoch_boundary(self) -> None:
         """Close one detector epoch: anomaly signals, then alert rules.
@@ -281,6 +290,9 @@ class MeasurementDaemon:
                 "daemon": self.name,
                 "packets_offered": self.packets_offered,
                 "batches_ingested": self.batches_ingested,
+                "epochs_completed": self.epochs_completed,
+                "batches_since_epoch": self._batches_since_epoch,
+                "packets_since_epoch": self._packets_since_epoch,
             },
         )
         # Checkpoints are epoch-grade events, not per-batch: record the
@@ -298,8 +310,10 @@ class MeasurementDaemon:
         """Swap in the monitor from the newest valid checkpoint.
 
         Returns True when a checkpoint was restored (the daemon's
-        ``packets_offered``/``batches_ingested`` resume from its meta);
-        False when none exists and state is left untouched.
+        ``packets_offered``/``batches_ingested`` and its epoch cadence
+        resume from its meta); False when none exists and state is left
+        untouched.  Checkpoints written before the cadence was recorded
+        leave the epoch counters as they are.
         """
         if self.checkpoints is None:
             raise RuntimeError("daemon has no CheckpointManager")
@@ -310,10 +324,18 @@ class MeasurementDaemon:
 
         self._attach(restored.monitor)
         self.windowed = isinstance(self.monitor, SlidingWindowMonitor)
-        if self.windowed:
-            self.window_epochs = self.monitor.window_epochs
-        self.packets_offered = int(restored.meta.get("packets_offered", 0))
-        self.batches_ingested = int(restored.meta.get("batches_ingested", 0))
+        self.window_epochs = self.monitor.window_epochs if self.windowed else 0
+        self._shape_detectors()
+        meta = restored.meta
+        self.packets_offered = int(meta.get("packets_offered", 0))
+        self.batches_ingested = int(meta.get("batches_ingested", 0))
+        self.epochs_completed = int(meta.get("epochs_completed", self.epochs_completed))
+        self._batches_since_epoch = int(
+            meta.get("batches_since_epoch", self._batches_since_epoch)
+        )
+        self._packets_since_epoch = int(
+            meta.get("packets_since_epoch", self._packets_since_epoch)
+        )
         self._batches_since_checkpoint = 0
         return True
 

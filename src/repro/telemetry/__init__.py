@@ -150,7 +150,6 @@ METRIC_HELP: Dict[str, str] = {
     "checkpoint_last_sequence": "Sequence number of the newest checkpoint written.",
     "checkpoint_size_bytes": "Size of the newest checkpoint frame.",
     "daemon_checkpoint_age_batches": "Batches ingested since the daemon's last checkpoint.",
-    "control_checkpoint_age_epochs": "Epochs since the control plane's last checkpoint.",
     "tracer_dropped_events_total": "Trace events evicted from the ring buffer.",
     "stage_seconds": "Wall-clock time per profiled ingest-pipeline stage.",
     "parallel_workers": "Worker processes in the last parallel run.",

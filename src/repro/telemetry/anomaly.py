@@ -107,16 +107,15 @@ class SketchAnomalyDetectors:
         Baseline updates pause while the current drop exceeds this
         value, so a long attack cannot drag the baseline down and
         mask its own resolution.
-    cumulative:
-        True (default) when the observed monitor keeps ingesting across
-        epochs (the :class:`~repro.switchsim.daemon.MeasurementDaemon`
-        shape): epoch traffic is recovered by differencing against the
-        previous boundary's counter snapshot.  False when the caller
-        hands a *fresh* monitor per epoch (the
-        :class:`~repro.control.plane.ControlPlane` shape, and the
-        windowed daemon shape -- ``MeasurementDaemon(window_epochs=W)``
-        hands the in-progress ring epoch just before rotating it): the
-        sketch already holds exactly one epoch and is queried directly.
+
+    The shape of the observed monitor is the owner's to set, through
+    the ``cumulative`` attribute.  True (the default) when the monitor
+    keeps ingesting across epochs: epoch traffic is recovered by
+    differencing against the previous boundary's counter snapshot.
+    False when each observed sketch already holds exactly one epoch and
+    is queried directly.  :class:`~repro.switchsim.daemon.MeasurementDaemon`
+    sets it to ``not daemon.windowed``: a windowed daemon hands over the
+    in-progress ring epoch just before rotating it.
     """
 
     def __init__(
@@ -127,7 +126,6 @@ class SketchAnomalyDetectors:
         change_share: float = 0.05,
         ema_alpha: float = 0.3,
         freeze_drop: float = 0.2,
-        cumulative: bool = True,
     ) -> None:
         if top_candidates < 1:
             raise ValueError("top_candidates must be >= 1")
@@ -139,7 +137,7 @@ class SketchAnomalyDetectors:
         self.change_share = change_share
         self.ema_alpha = ema_alpha
         self.freeze_drop = freeze_drop
-        self.cumulative = cumulative
+        self.cumulative = True
         self.epochs = 0
         #: Clone of the monitored sketch holding last epoch's cumulative
         #: counters (lazily created; refreshed in place each epoch).
@@ -221,7 +219,7 @@ class SketchAnomalyDetectors:
         """Compute this epoch's signals and export them as gauges.
 
         ``packets`` is the number of packets the epoch carried (the
-        caller -- daemon or control plane -- knows it exactly).  Returns
+        caller -- usually the daemon -- knows it exactly).  Returns
         the signal dict, or ``None`` for an empty epoch.
         """
         packets = float(packets)

@@ -302,8 +302,6 @@ class CheckpointStalenessRule(HealthRule):
 
     def evaluate(self, snap: Dict) -> RuleResult:
         age = sample_value(snap, "daemon_checkpoint_age_batches")
-        if age is None:
-            age = sample_value(snap, "control_checkpoint_age_epochs")
         failures = sample_value(snap, "checkpoint_restore_failures_total")
         if age is None and failures is None:
             return self._ok("checkpointing not enabled")

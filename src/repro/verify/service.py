@@ -18,7 +18,8 @@ this suite proves each one end to end (real sockets, real HTTP):
 * **lifecycle durability** -- a graceful stop checkpoints every tenant;
   a restarted service restores each one byte-exactly and resumes
   ingest; LRU eviction under a tenant budget also round-trips bytes
-  (evict -> restore == never evicted).
+  (evict -> restore == never evicted), and a windowed tenant evicted
+  mid-epoch resumes its epoch cadence.
 
 Plus the drop-accounting contract of the backpressure path: with
 ``overflow="drop"`` and no drainer, exactly queue_capacity batches are
@@ -33,6 +34,7 @@ import os
 import tempfile
 import threading
 import urllib.request
+from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -366,6 +368,43 @@ def check_lifecycle(packets: int, seed: int) -> List[CheckResult]:
     return results
 
 
+def check_eviction_resumes_epochs(seed: int) -> List[CheckResult]:
+    """A windowed tenant evicted mid-epoch == one never evicted."""
+    frames = _frames(_default_trace(12 * FRAME_KEYS, seed).keys)
+    with tempfile.TemporaryDirectory(prefix="verify-svc-") as tmp:
+        config = ServiceConfig(
+            seed=seed, checkpoint_dir=tmp, window_epochs=2, epoch_batches=4
+        )
+        kept = MonitoringService(replace(config, checkpoint_dir=None), http=False)
+        evicted = MonitoringService(config, http=False)
+        for index, frame in enumerate(frames):
+            kept.ingest_direct("w", frame)
+            evicted.ingest_direct("w", frame)
+            if index == 5:  # two frames into the second epoch
+                evicted.tenants.evict("w")
+        never, back = kept.tenants.get("w"), evicted.tenants.get("w")
+        epochs = (back.daemon.epochs_completed, never.daemon.epochs_completed)
+        exact = serialize_monitor(back.daemon.monitor) == serialize_monitor(
+            never.daemon.monitor
+        )
+    if back.restored and exact and epochs[0] == epochs[1]:
+        return [
+            CheckResult.ok(
+                "service.eviction_resumes_epochs",
+                "windowed tenant evicted mid-epoch resumed byte-exactly "
+                "with %d epochs completed" % epochs[0],
+                epochs=float(epochs[0]),
+            )
+        ]
+    return [
+        CheckResult.fail(
+            "service.eviction_resumes_epochs",
+            "restored=%s byte_exact=%s epochs_completed %d vs %d never evicted"
+            % (back.restored, exact, epochs[0], epochs[1]),
+        )
+    ]
+
+
 def check_backpressure_accounting(seed: int) -> List[CheckResult]:
     """overflow='drop' sheds exactly the over-capacity batches, counted."""
     config = ServiceConfig(seed=seed, queue_capacity=4, overflow="drop", epoch_batches=0)
@@ -410,5 +449,6 @@ def run_service_checks(quick: bool = False, seed: int = 0) -> List[CheckResult]:
     results.extend(check_concurrent_tenants(packets, seed))
     results.extend(check_query_during_ingest(packets, seed))
     results.extend(check_lifecycle(min(packets, 30_000), seed))
+    results.extend(check_eviction_resumes_epochs(seed))
     results.extend(check_backpressure_accounting(seed))
     return results

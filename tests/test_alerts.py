@@ -6,8 +6,8 @@ transition log, the multi-window burn-rate rule, repeat-interval dedup,
 notification sinks (including real-HTTP webhook delivery and failure
 accounting), ``ALERTS`` exposition conformance, the health/alert
 unification invariant (503 ⇔ firing), the sketch-driven DDoS scenario
-(fires then resolves, deterministically), and the daemon / control-plane
-/ parallel-engine / dashboard / CLI wiring.
+(fires then resolves, deterministically), and the daemon / dashboard /
+CLI wiring.
 """
 
 import json
@@ -21,13 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.control import ControlPlane, HeavyHitterTask
 from repro.core import NitroSketch, nitro_kary
-from repro.parallel import (
-    ParallelIngestEngine,
-    VanillaFactory,
-    parallel_unavailable_reason,
-)
 from repro.sketches import CountSketch
 from repro.switchsim import MeasurementDaemon
 from repro.telemetry import (
@@ -45,11 +39,7 @@ from repro.telemetry import (
     WebhookReceiver,
     WebhookSink,
 )
-from repro.telemetry.anomaly import (
-    SketchAnomalyDetectors,
-    ddos_onset_trace,
-    default_alert_rules,
-)
+from repro.telemetry.anomaly import SketchAnomalyDetectors, ddos_onset_trace
 from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.demo import run_alert_demo, validate_alert_demo
 from repro.telemetry.health import HealthEvaluator, default_rules
@@ -57,11 +47,6 @@ from repro.traffic import caida_like
 from repro.traffic.replay import Batch
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-
-needs_shm = pytest.mark.skipif(
-    parallel_unavailable_reason() is not None,
-    reason=parallel_unavailable_reason() or "",
-)
 
 
 def _golden(name: str) -> str:
@@ -721,9 +706,10 @@ class TestDetectors:
         assert telemetry.tracer.events("anomaly.epoch")
 
     def test_non_cumulative_mode_queries_directly(self):
-        """Fresh-per-epoch monitors (ControlPlane shape) need no diffing."""
+        """One-epoch monitors (the windowed-daemon shape) need no diffing."""
         telemetry = Telemetry()
-        detectors = SketchAnomalyDetectors(telemetry=telemetry, cumulative=False)
+        detectors = SketchAnomalyDetectors(telemetry=telemetry)
+        detectors.cumulative = False
         trace = caida_like(20_000, n_flows=1_000, skew=1.3, seed=5)
         step = len(trace) // 2
         for index in range(2):
@@ -836,55 +822,6 @@ class TestDaemonWiring:
     def test_epoch_batches_validated(self):
         with pytest.raises(ValueError):
             MeasurementDaemon(CountSketch(4, 64, seed=0), epoch_batches=-1)
-
-
-class TestControlPlaneWiring:
-    def test_plane_drives_detectors_and_rules_per_epoch(self):
-        telemetry = Telemetry()
-        detectors = SketchAnomalyDetectors(telemetry=telemetry, cumulative=False)
-        manager = AlertManager(
-            telemetry,
-            rules=default_alert_rules(),
-            clock=ManualClock(),
-        )
-        plane = ControlPlane(
-            lambda seed: nitro_kary(
-                depth=4, width=4096, probability=1.0, top_k=32, seed=seed
-            ),
-            [HeavyHitterTask(0.01)],
-            score=False,
-            telemetry=telemetry,
-            anomaly=detectors,
-            alerts=manager,
-        )
-        trace = caida_like(12_000, n_flows=1_000, seed=9)
-        reports = plane.run_epochs(trace, epoch_packets=4_000)
-        assert len(reports) == 3
-        assert detectors.epochs == 3
-        assert manager.evaluations == 3
-
-
-@needs_shm
-class TestParallelWiring:
-    def test_engine_evaluates_alerts_after_fanin(self):
-        telemetry = Telemetry()
-        manager = AlertManager(
-            telemetry,
-            rules=default_alert_rules(),
-            clock=ManualClock(),
-        )
-        engine = ParallelIngestEngine(
-            VanillaFactory(sketch="countmin", depth=4, width=512, seed=3),
-            workers=2,
-            strategy="merge",
-            epoch_packets=5_000,
-            batch_size=1024,
-            telemetry=telemetry,
-            alerts=manager,
-        )
-        trace = caida_like(10_000, n_flows=500, seed=21)
-        engine.run(trace.keys)
-        assert manager.evaluations >= 1
 
 
 class TestServerRoutes:

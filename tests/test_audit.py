@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.theory import l1_error_bound, l2_error_bound
-from repro.control import ControlPlane, HeavyHitterTask
 from repro.core import NitroSketch, nitro_countmin
 from repro.metrics.opcount import OpCounter
 from repro.sketches import CountMinSketch, CountSketch
@@ -476,41 +475,6 @@ class TestWiring:
         assert auditor.telemetry is telemetry
         guard.check()
         assert "audit_error_bound" in telemetry.snapshot()["metrics"]
-
-    def test_control_plane_audits_each_epoch(self):
-        telemetry = Telemetry()
-        auditor = ShadowAuditor(capacity=64, seed=0, telemetry=telemetry)
-        plane = ControlPlane(
-            lambda epoch: nitro_countmin(probability=0.5, seed=0),
-            [HeavyHitterTask(0.01)],
-            score=False,
-            telemetry=telemetry,
-            auditor=auditor,
-        )
-        trace = caida_like(4_000, n_flows=400, seed=0)
-        plane.run_epochs(trace, epoch_packets=2_000)
-        assert auditor.audits == 2
-        snap = telemetry.snapshot()
-        assert sample_value(snap, "audit_rounds_total") == 2.0
-
-    def test_control_plane_with_guarantee_monitor(self):
-        telemetry = Telemetry()
-        auditor = ShadowAuditor(capacity=64, seed=0, telemetry=telemetry)
-        guard = GuaranteeMonitor(
-            auditor,
-            nitro_countmin(probability=0.5, seed=0),
-            epsilon=0.2,
-        )
-        plane = ControlPlane(
-            lambda epoch: nitro_countmin(probability=0.5, seed=0),
-            [HeavyHitterTask(0.01)],
-            score=False,
-            telemetry=telemetry,
-            auditor=guard,
-        )
-        plane.run_epochs(caida_like(4_000, n_flows=400, seed=0), epoch_packets=2_000)
-        assert guard.last_report is not None
-        assert not guard.last_report.violated
 
 
 # -- dashboard --------------------------------------------------------------

@@ -5,8 +5,8 @@ run) and the live engine (skipped wholesale on hosts without a usable
 ``multiprocessing.shared_memory`` mount): merge bit-exactness against
 the sequential oracle, shared-bank bit-exactness against a whole-trace
 sketch, two-run determinism, crash recovery, corruption detection, the
-epoch-frame wire format, and the control-plane / multicore-simulator
-integrations.
+epoch-frame wire format, per-epoch delivery through ``on_epoch``, and
+the multicore-simulator integration.
 """
 
 import numpy as np
@@ -17,8 +17,6 @@ from repro.control.export import (
     serialize_epoch_frame,
     serialize_monitor,
 )
-from repro.control.plane import ControlPlane
-from repro.control.tasks import HeavyHitterTask
 from repro.core.config import NitroConfig
 from repro.faults import FrameCorruptionPlan, WorkerCrashPlan, flip_bytes
 from repro.hashing.prng import derive_stream_seed
@@ -160,6 +158,31 @@ class TestEngine:
             oracle.monitor
         )
 
+    def test_on_epoch_delivers_each_epoch_like_run_sequential(self, trace):
+        def deliveries(run):
+            delivered = []
+            run(
+                trace.keys,
+                on_epoch=lambda epoch, merged, metas: delivered.append(
+                    (epoch, serialize_monitor(merged))
+                ),
+            )
+            return delivered
+
+        def build():
+            return ParallelIngestEngine(
+                _nitro_factory(),
+                workers=3,
+                strategy="merge",
+                epoch_packets=4_000,
+                batch_size=1024,
+                reset_per_epoch=True,
+            )
+
+        parallel = deliveries(build().run)
+        assert [epoch for epoch, _ in parallel] == [0, 1, 2]
+        assert parallel == deliveries(build().run_sequential)
+
     def test_two_runs_identical(self, trace):
         """Determinism regression: scheduling must not leak into results."""
 
@@ -256,37 +279,6 @@ class TestEngine:
 
 @needs_shm
 class TestIntegrations:
-    def test_control_plane_parallel_epochs(self, trace):
-        engine = ParallelIngestEngine(
-            _nitro_factory(),
-            workers=3,
-            strategy="merge",
-            batch_size=1024,
-            reset_per_epoch=True,
-        )
-        plane = ControlPlane(
-            lambda epoch: None, [HeavyHitterTask(threshold_fraction=0.002)]
-        )
-        reports, result = plane.run_parallel_epochs(trace, 4_000, engine)
-        assert [report.epoch for report in reports] == [0, 1, 2]
-        assert all(report.packets == 4_000 for report in reports)
-        assert all("heavy_hitters" in report.reports for report in reports)
-        assert result.epochs == 3
-        assert len(plane.monitors) == 2  # keep_monitors default
-
-    def test_control_plane_rejects_wrong_engine(self, trace):
-        plane = ControlPlane(lambda epoch: None, [])
-        shared = ParallelIngestEngine(
-            VanillaFactory(), workers=2, strategy="shared"
-        )
-        with pytest.raises(ValueError):
-            plane.run_parallel_epochs(trace, 4_000, shared)
-        no_reset = ParallelIngestEngine(
-            _nitro_factory(), workers=2, strategy="merge"
-        )
-        with pytest.raises(ValueError):
-            plane.run_parallel_epochs(trace, 4_000, no_reset)
-
     def test_multicore_measured_alongside_modeled(self, trace):
         sim = MultiCoreSimulator(
             lambda core: OVSDPDKPipeline(), cores=3, rss_seed=4

@@ -14,14 +14,12 @@ import pytest
 
 from repro.control import (
     CheckpointManager,
-    ControlPlane,
     deserialize_monitor,
     deserialize_sketch,
     serialize_monitor,
     serialize_sketch,
 )
 from repro.control import export
-from repro.control.tasks import HeavyHitterTask
 from repro.core import NitroConfig, NitroMode, NitroSketch
 from repro.core.univmon_nitro import NitroUnivMon
 from repro.faults import LossyChannel, corrupt_file, truncate_file
@@ -349,6 +347,64 @@ class TestWindowedDaemonRecovery:
         )
         assert recovered.monitor.window_packets() == daemon.monitor.window_packets()
 
+    @pytest.mark.parametrize("crash_after", [6, 8])
+    def test_restore_resumes_epoch_cadence(self, tmp_path, crash_after):
+        """Regression: checkpoints dropped the epoch cadence, and an
+        interval checkpoint on a boundary batch was written before the
+        ring rotated, so a restored daemon closed its epochs on another
+        schedule.  Batch 6 is mid-epoch, batch 8 a boundary batch."""
+        batches = self._batches()[:12]
+
+        def build(checkpoints=None):
+            return MeasurementDaemon(
+                self._monitor(),
+                checkpoints=checkpoints,
+                checkpoint_interval=2 if checkpoints is not None else 0,
+                epoch_batches=4,
+                window_epochs=2,
+            )
+
+        clean = build()
+        for batch in batches:
+            clean.ingest(batch)
+        crashed = build(CheckpointManager(str(tmp_path)))
+        for batch in batches[:crash_after]:
+            crashed.ingest(batch)
+        recovered = build(CheckpointManager(str(tmp_path)))
+        assert recovered.restore_latest()
+        for batch in batches[crash_after:]:
+            recovered.ingest(batch)
+        assert recovered.epochs_completed == clean.epochs_completed == 3
+        assert recovered.monitor.window_packets() == clean.monitor.window_packets()
+        assert serialize_monitor(recovered.monitor) == serialize_monitor(
+            clean.monitor
+        )
+
+    @pytest.mark.parametrize("saved_window, built_window", [(2, 0), (0, 2)])
+    def test_restore_reshapes_detectors(self, tmp_path, saved_window, built_window):
+        """The detectors follow the restored monitor, not the one the
+        daemon was built with: a ring member holds one epoch and is
+        queried directly, a plain monitor is differenced."""
+        from repro.telemetry.anomaly import SketchAnomalyDetectors
+
+        manager = CheckpointManager(str(tmp_path))
+        MeasurementDaemon(
+            self._monitor(), checkpoints=manager, window_epochs=saved_window
+        ).checkpoint()
+        detectors = SketchAnomalyDetectors()
+        daemon = MeasurementDaemon(
+            self._monitor(),
+            checkpoints=manager,
+            anomaly=detectors,
+            epoch_batches=4,
+            window_epochs=built_window,
+        )
+        assert detectors.cumulative == (built_window == 0)
+        assert daemon.restore_latest()
+        assert daemon.windowed == (saved_window > 0)
+        assert daemon.window_epochs == saved_window
+        assert detectors.cumulative == (saved_window == 0)
+
     def test_unwindowed_checkpoint_restores_unwindowed(self, tmp_path):
         # A daemon restoring a plain (ringless) checkpoint must not
         # invent a window around it.
@@ -361,31 +417,6 @@ class TestWindowedDaemonRecovery:
         assert recovered.restore_latest()
         assert not recovered.windowed
         assert recovered.window_epochs == 0
-
-
-class TestControlPlaneResume:
-    def test_epoch_numbering_resumes_after_restart(self, tmp_path):
-        trace = caida_like(6_000, n_flows=300, seed=13)
-        factory = lambda epoch: NitroSketch(
-            CountSketch(3, 256, 13),
-            NitroConfig(probability=0.5, top_k=8, seed=13),
-        )
-        manager = CheckpointManager(str(tmp_path))
-        plane = ControlPlane(
-            factory, [HeavyHitterTask()], score=False, checkpoints=manager
-        )
-        first = plane.run_epochs(trace.slice(0, 3_000), epoch_packets=1_000)
-        assert [report.epoch for report in first] == [0, 1, 2]
-
-        # The "restarted" plane resumes numbering after the last
-        # checkpointed epoch instead of starting over at 0.
-        restarted = ControlPlane(
-            factory, [HeavyHitterTask()], score=False, checkpoints=manager
-        )
-        second = restarted.run_epochs(trace.slice(3_000, 6_000), epoch_packets=1_000)
-        assert [report.epoch for report in second] == [3, 4, 5]
-        # The restored epoch-2 monitor is available for change detection.
-        assert len(restarted.monitors) >= 1
 
 
 class TestFaultInjectors:

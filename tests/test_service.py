@@ -7,11 +7,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.control.export import serialize_monitor
+from repro.control.tasks import HeavyHitterTask
 from repro.service import IngestClient, MonitoringService, ServiceConfig
 from repro.service import records
 from repro.service.tenants import (
@@ -187,6 +189,38 @@ class TestTenantManager:
         assert back.restored
         assert serialize_monitor(back.daemon.monitor) == before
 
+    def test_eviction_mid_epoch_resumes_the_window(self, tmp_path):
+        """Regression: an evicted windowed tenant came back with its
+        epoch count reset, so it closed epochs on another schedule and
+        its window covered different traffic."""
+        config = ServiceConfig(
+            window_epochs=2, epoch_batches=4, checkpoint_dir=str(tmp_path)
+        )
+        keys = np.random.default_rng(5).integers(0, 5000, 12 * 1024)
+        batches = [
+            records.batch_from_keys(keys[start : start + 1024])
+            for start in range(0, len(keys), 1024)
+        ]
+
+        def feed(manager, part):
+            for batch in part:
+                manager.get_or_create("w").daemon.ingest(batch)
+
+        kept = TenantManager(replace(config, checkpoint_dir=None))
+        feed(kept, batches)
+        evicted = TenantManager(config)
+        feed(evicted, batches[:6])
+        assert evicted.evict("w")
+        feed(evicted, batches[6:])
+        back, never = evicted.get("w"), kept.get("w")
+        assert back.restored
+        assert back.stats()["epochs_completed"] == never.stats()["epochs_completed"] == 3
+        assert back.daemon.monitor.window_packets() == 4096
+        assert never.daemon.monitor.window_packets() == 4096
+        assert serialize_monitor(back.daemon.monitor) == serialize_monitor(
+            never.daemon.monitor
+        )
+
     def test_eviction_drains_queue_before_checkpoint(self, tmp_path):
         config = ServiceConfig(
             max_tenants=1, checkpoint_dir=str(tmp_path), epoch_batches=0
@@ -330,6 +364,35 @@ class TestServiceEndToEnd:
             ) as response:
                 text = response.read().decode()
             assert 'service_ingest_packets_total{tenant="acme"}' in text
+        finally:
+            service.stop()
+
+    def test_reports_evaluate_the_task_on_the_tenant_monitor(self):
+        service = self._start()
+        try:
+            keys = np.random.default_rng(9).zipf(1.3, 6000) % 3000
+            for start in range(0, len(keys), 1000):
+                service.ingest_direct("acme", keys[start : start + 1000])
+            _, body = _http(service.http_port, "/tenants/acme/reports?share=0.02")
+            daemon = service.tenants.get("acme").daemon
+            report = HeavyHitterTask(0.02).evaluate(
+                daemon.monitor, daemon.packets_offered
+            )
+            assert report.detected
+            assert body["epoch"] == daemon.epochs_completed == 1
+            assert body["packets"] == len(keys)
+            assert body["tasks"] == [
+                {
+                    "task": "heavy_hitters",
+                    "estimate": None,
+                    "detected": {
+                        str(key): est for key, est in report.detected.items()
+                    },
+                }
+            ]
+            # A query is not a control-plane epoch.
+            metrics = service.telemetry.snapshot()["metrics"]
+            assert "control_epochs_total" not in metrics
         finally:
             service.stop()
 

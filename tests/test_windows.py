@@ -120,26 +120,6 @@ class TestWindowSemantics:
         assert 22 in hitters
         assert 11 not in hitters
 
-    def test_adopt_epoch_mode(self):
-        factory = vanilla_factory()
-        window = SlidingWindowMonitor(factory, window_epochs=2, epoch_packets=0)
-        for epoch, key in enumerate((5, 6, 7)):
-            monitor = factory()
-            monitor.update_batch(np.full(1000, key, dtype=np.int64))
-            window.adopt_epoch(monitor, 1000)
-        # W=2 of adopted epochs: key 5 aged out, 6 and 7 survive.
-        assert window.window_packets() == 2000
-        assert window.epochs_rotated == 3
-        assert window.query(5) == pytest.approx(0, abs=1e-6)
-        assert window.query(6) == pytest.approx(1000, abs=1e-6)
-        assert window.query(7) == pytest.approx(1000, abs=1e-6)
-
-    def test_adopt_epoch_rejects_mixed_ingest(self):
-        window = SlidingWindowMonitor(vanilla_factory(), window_epochs=2, epoch_packets=0)
-        window.update(3)
-        with pytest.raises(ValueError):
-            window.adopt_epoch(vanilla_factory()(), 1)
-
     def test_merged_view_is_cached_until_ingest(self):
         window = SlidingWindowMonitor(vanilla_factory(), window_epochs=2, epoch_packets=100)
         window.update_batch(np.full(150, 4, dtype=np.int64))
@@ -251,7 +231,6 @@ class TestPipelineWiring:
         assert [key for key, _ in window.heavy_hitters(100.0)] == [big]
 
     def test_null_telemetry_boundary_builds_no_merged_window(self, monkeypatch):
-        from repro.control import ControlPlane, HeavyHitterTask
         from repro.switchsim import MeasurementDaemon
         from repro.traffic import caida_like
         from repro.traffic.replay import Replayer
@@ -269,10 +248,6 @@ class TestPipelineWiring:
         for batch in Replayer(trace, batch_size=512).batches():
             daemon.ingest(batch)
         assert daemon.monitor.epochs_rotated == 4
-        factory = lambda epoch: nitro_factory(seed=12, probability=0.5)()
-        plane = ControlPlane(factory, [HeavyHitterTask()], score=False, window_epochs=2)
-        plane.run_epochs(trace, epoch_packets=2000)
-        assert plane.window.epochs_rotated == 3
         assert merges == []
         daemon.monitor.query_batch(trace.keys[:8])  # queries still merge
         assert merges == [daemon.monitor]
@@ -315,21 +290,6 @@ class TestPipelineWiring:
         with pytest.raises(ValueError):
             MeasurementDaemon(nitro_factory()(), window_epochs=-1)
 
-    def test_control_plane_window_spans_recent_epochs(self):
-        from repro.control import ControlPlane, HeavyHitterTask
-        from repro.traffic import caida_like
-
-        trace = caida_like(6000, n_flows=300, seed=12)
-        factory = lambda epoch: nitro_factory(seed=12, probability=0.5)()
-        plane = ControlPlane(
-            factory, [HeavyHitterTask()], score=False, window_epochs=2
-        )
-        reports = plane.run_epochs(trace, epoch_packets=2000)
-        assert len(reports) == 3
-        assert plane.window is not None
-        # Epoch-driven ring: the last two completed epochs, current empty.
-        assert plane.window.window_packets() == 4000
-        assert plane.window.epochs_rotated == 3
     def make_univmon(self):
         return UnivMon(levels=10, depth=5, widths=4096, k=300, seed=7)
 
