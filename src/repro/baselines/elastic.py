@@ -29,12 +29,12 @@ Reproduced limitations (paper Section 2, Figure 3b):
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.hashing.families import MultiplyShiftHash, derive_seeds
-from repro.metrics.opcount import NULL_OPS
+from repro.sketches.base import Monitor
 
 
 class _Bucket:
@@ -49,7 +49,7 @@ class _Bucket:
         self.flag = False
 
 
-class ElasticSketch:
+class ElasticSketch(Monitor):
     """Heavy/light two-part sketch.
 
     Parameters
@@ -80,7 +80,6 @@ class ElasticSketch:
         self.heavy_buckets = heavy_buckets
         self.light_counters = light_counters
         self.vote_threshold = vote_threshold
-        self.ops = NULL_OPS
         seeds = derive_seeds(seed, 2)
         self._heavy_hash = MultiplyShiftHash(heavy_buckets, seeds[0])
         self._light_hash = MultiplyShiftHash(light_counters, seeds[1])
@@ -112,7 +111,7 @@ class ElasticSketch:
         self.ops.counter_update()
         self._light[self._light_hash(key)] += weight
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """The ElasticSketch insertion algorithm (1H, 1C, <=1 eviction)."""
         self.ops.packet()
         self.ops.hash()
@@ -144,10 +143,6 @@ class ElasticSketch:
         bucket.negative = 0.0
         bucket.flag = True
         self.ops.counter_update()
-
-    def update_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.update(key)
 
     # -- queries ------------------------------------------------------------
 

@@ -11,7 +11,7 @@ counts are tracked so the cost model reproduces that collapse.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sketches.base import Sketch
 
@@ -26,16 +26,12 @@ class HashTableMonitor(Sketch):
     def __init__(self) -> None:
         self._table: Dict[int, float] = {}
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         self.ops.packet()
         self.ops.hash()
         self.ops.table_lookup()
         self.ops.counter_update()
         self._table[key] = self._table.get(key, 0.0) + weight
-
-    def update_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.update(key)
 
     def query(self, key: int) -> float:
         return self._table.get(key, 0.0)

@@ -22,12 +22,12 @@ NitroSketch's always-on counter arrays close.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.hashing.prng import XorShift64Star
-from repro.metrics.opcount import NULL_OPS
+from repro.sketches.base import Monitor
 
 #: Bytes per NetFlow v5-style record (key, counters, timestamps, ports).
 FLOW_RECORD_BYTES = 48
@@ -46,7 +46,7 @@ class FlowRecord:
     last_seen: Optional[float] = None
 
 
-class NetFlowMonitor:
+class NetFlowMonitor(Monitor):
     """Packet-sampled flow records with inverse-probability estimates.
 
     ``active_timeout`` / ``inactive_timeout`` reproduce real NetFlow
@@ -74,7 +74,6 @@ class NetFlowMonitor:
         self.sampling_rate = sampling_rate
         self.active_timeout = active_timeout
         self.inactive_timeout = inactive_timeout
-        self.ops = NULL_OPS
         self._rng = XorShift64Star(seed ^ 0x17F10)
         self._records: Dict[int, FlowRecord] = {}
         #: Records exported by timeout expiry (the collector's archive).
@@ -107,10 +106,14 @@ class NetFlowMonitor:
     def update(
         self,
         key: int,
-        size_bytes: float = 0.0,
+        weight: float = 1.0,
         timestamp: Optional[float] = None,
     ) -> None:
-        """Offer one packet; a coin flip decides whether a record is touched."""
+        """Offer one packet; a coin flip decides whether a record is touched.
+
+        ``weight`` (the packet's size) feeds the record's byte count;
+        estimates count packets.
+        """
         self.packets_seen += 1
         self.ops.packet()
         self.ops.prng()
@@ -128,18 +131,19 @@ class NetFlowMonitor:
             self._records[key] = record
             record.first_seen = timestamp
         record.sampled_packets += 1
-        record.sampled_bytes += size_bytes
+        record.sampled_bytes += weight
         record.last_seen = timestamp
 
-    def update_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.update(key)
-
-    def update_batch(self, keys: "np.ndarray", seed_offset: int = 0) -> None:
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
         """Vectorised ingest: one Bernoulli mask, then grouped record updates.
 
         Statistically equivalent to per-packet :meth:`update` (independent
-        RNG stream).
+        RNG stream) in packet counts; batch records keep no byte counts.
         """
         keys = np.asarray(keys)
         count = len(keys)
@@ -148,7 +152,7 @@ class NetFlowMonitor:
         self.packets_seen += count
         self.ops.packet(count)
         self.ops.prng(count)
-        rng = np.random.default_rng((self._rng.next_u64() + seed_offset) & 0xFFFFFFFF)
+        rng = np.random.default_rng(self._rng.next_u64() & 0xFFFFFFFF)
         mask = rng.random(count) < self.sampling_rate
         sampled = keys[mask]
         self.packets_sampled += int(sampled.size)
@@ -197,21 +201,20 @@ class NetFlowMonitor:
         self.packets_sampled = 0
 
 
-class SFlowMonitor:
+class SFlowMonitor(Monitor):
     """sFlow: export sampled headers, aggregate at the collector."""
 
     def __init__(self, sampling_rate: float, seed: int = 0) -> None:
         if not 0.0 < sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1], got %r" % (sampling_rate,))
         self.sampling_rate = sampling_rate
-        self.ops = NULL_OPS
         self._rng = XorShift64Star(seed ^ 0x5F10)
         #: Collector-side per-flow sampled counts.
         self._collector: Dict[int, float] = {}
         self.packets_seen = 0
         self.packets_sampled = 0
 
-    def update(self, key: int, size_bytes: float = 0.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         self.packets_seen += 1
         self.ops.packet()
         self.ops.prng()
@@ -219,11 +222,7 @@ class SFlowMonitor:
             return
         self.packets_sampled += 1
         self.ops.memcpy()  # header export
-        self._collector[key] = self._collector.get(key, 0.0) + 1.0
-
-    def update_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.update(key)
+        self._collector[key] = self._collector.get(key, 0.0) + weight
 
     def query(self, key: int) -> float:
         return self._collector.get(key, 0.0) / self.sampling_rate

@@ -20,10 +20,10 @@ masking (/8, /16, /24, /32) by default.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hashing.prng import XorShift64Star
-from repro.metrics.opcount import NULL_OPS
+from repro.sketches.base import Monitor
 from repro.sketches.misra_gries import MisraGries
 
 #: Byte-aligned IPv4 prefix lengths, shallowest first.
@@ -40,7 +40,7 @@ def prefix_of(address: int, prefix_length: int) -> int:
     return address & mask
 
 
-class HierarchicalHeavyHitters:
+class HierarchicalHeavyHitters(Monitor):
     """Deterministic HHH: every level updated on every packet."""
 
     def __init__(
@@ -54,10 +54,11 @@ class HierarchicalHeavyHitters:
         self.levels: Dict[int, MisraGries] = {
             length: MisraGries(counters_per_level) for length in self.prefix_lengths
         }
-        self.ops = NULL_OPS
         self.total = 0.0
 
-    def update(self, address: int, weight: float = 1.0) -> None:
+    def update(
+        self, address: int, weight: float = 1.0, timestamp: Optional[float] = None
+    ) -> None:
         self.ops.packet()
         self.total += weight
         for length in self.prefix_lengths:
@@ -65,10 +66,6 @@ class HierarchicalHeavyHitters:
             level.ops = self.ops
             level.update(prefix_of(address, length), weight)
             self.ops.packet(-1)  # inner MG counted the packet again
-
-    def update_many(self, addresses: Iterable[int]) -> None:
-        for address in addresses:
-            self.update(address)
 
     def query(self, address: int, prefix_length: int) -> float:
         """Estimated traffic of one prefix."""
@@ -138,7 +135,9 @@ class RandomizedHHH(HierarchicalHeavyHitters):
         self._rng = XorShift64Star(seed ^ 0x8888)
         self.num_levels = len(self.prefix_lengths)
 
-    def update(self, address: int, weight: float = 1.0) -> None:
+    def update(
+        self, address: int, weight: float = 1.0, timestamp: Optional[float] = None
+    ) -> None:
         self.ops.packet()
         self.ops.prng()
         self.total += weight

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import heapq
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hashing.prng import XorShift64Star
 from repro.metrics.opcount import NULL_OPS
+from repro.sketches.base import Monitor
 from repro.sketches.univmon import UnivMon
 
 
@@ -61,7 +62,7 @@ class FastPathEntry:
         return self.residual
 
 
-class SketchVisor:
+class SketchVisor(Monitor):
     """Fast path + normal path with control-plane merge.
 
     Parameters
@@ -118,7 +119,7 @@ class SketchVisor:
 
     # -- data plane -----------------------------------------------------------
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """Route one packet to the fast or normal path."""
         self._merged = None
         if self.fast_fraction >= 1.0 or (
@@ -128,10 +129,6 @@ class SketchVisor:
         else:
             self.normal_packets += 1
             self.normal.update(key, weight)
-
-    def update_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.update(key)
 
     def _fast_update(self, key: int, weight: float) -> None:
         self.fast_packets += 1

@@ -713,14 +713,8 @@ def cmd_profile(args) -> int:
     telemetry = Telemetry()
     profiler = StageProfiler(telemetry, sample_every=args.sample_every)
     monitor = _build_monitor(args)
-    if hasattr(monitor, "telemetry"):
-        monitor.telemetry = telemetry
-    if hasattr(monitor, "profiler"):
-        monitor.profiler = profiler
-    elif hasattr(monitor, "sketches"):  # UnivMon: profile every level
-        for level in monitor.sketches:
-            if hasattr(level, "profiler"):
-                level.profiler = profiler
+    monitor.telemetry = telemetry
+    monitor.profiler = profiler
     history = HistoryStore(capacity=args.history_capacity)
     keys = trace.keys
     n_batches = max(1, -(-len(keys) // args.batch_size))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.control.tasks import MeasurementTask, TaskReport
+from repro.sketches.base import Monitor
 from repro.telemetry import NULL_TELEMETRY
 from repro.traffic.traces import Trace
 
@@ -88,9 +89,8 @@ class ControlPlane:
             epoch_trace = trace.slice(start, stop)
             with telemetry.span("control_epoch_seconds"):
                 monitor = self.monitor_factory(epoch)
-                if hasattr(monitor, "telemetry"):
-                    monitor.telemetry = telemetry
-                self._ingest(monitor, epoch_trace)
+                monitor.telemetry = telemetry
+                monitor.update_batch(epoch_trace.keys)
                 reports.append(self._evaluate_epoch(monitor, epoch, epoch_trace))
             telemetry.count("control_epochs_total")
             telemetry.event(
@@ -124,17 +124,8 @@ class ControlPlane:
             )
         return epoch_report
 
-    @staticmethod
-    def _ingest(monitor, trace: Trace) -> None:
-        if hasattr(monitor, "update_batch"):
-            monitor.update_batch(trace.keys)
-            return
-        update = monitor.update
-        for key in trace.keys.tolist():
-            update(key)
 
-
-class KAryChangeMonitor:
+class KAryChangeMonitor(Monitor):
     """Adapter giving a (Nitro-)K-ary sketch the change-detection surface.
 
     K-ary sketches are linear, so change detection subtracts the

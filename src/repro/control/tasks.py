@@ -7,8 +7,8 @@ recall for heavy-flow sets).
 
 Tasks are monitor-agnostic: they duck-type against the query surface
 (``heavy_hitters``, ``entropy_estimate``, ``distinct_estimate``,
-``change_detection`` / ``difference``) so the same task runs against
-UnivMon, Nitro-wrapped sketches, ElasticSketch, NetFlow, etc.
+``change_detection``) so the same task runs against UnivMon,
+Nitro-wrapped sketches, ElasticSketch, NetFlow, etc.
 """
 
 from __future__ import annotations
@@ -87,9 +87,10 @@ class HeavyHitterTask(MeasurementTask):
 class ChangeDetectionTask(MeasurementTask):
     """Flows whose change across epochs exceeds a fraction of total change.
 
-    Needs a monitor exposing either ``change_detection(previous,
-    threshold)`` (UnivMon) or ``difference(previous)`` (K-ary); the task
-    keeps the previous epoch's monitor snapshot.
+    Needs a monitor exposing ``change_detection(previous, threshold)``
+    (UnivMon, or K-ary behind
+    :class:`~repro.control.plane.KAryChangeMonitor`); other monitors
+    detect nothing.  The task keeps the previous epoch's monitor.
     """
 
     name = "change_detection"
@@ -106,9 +107,6 @@ class ChangeDetectionTask(MeasurementTask):
             if hasattr(monitor, "change_detection"):
                 changes = monitor.change_detection(self._previous_monitor, threshold)
                 report.detected = dict(changes)
-            elif hasattr(monitor, "difference"):
-                diff = monitor.difference(self._previous_monitor)
-                report.detected = {}  # K-ary needs candidate keys; see KAryChangeDetector
             self.telemetry.gauge(
                 "control_task_detected_flows", len(report.detected), task=self.name
             )

@@ -30,18 +30,10 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
-
-def _query_batch_of(monitor, keys: "np.ndarray") -> "np.ndarray":
-    """Batched point queries against whatever estimator ``monitor`` has."""
-    fn = getattr(monitor, "query_batch", None)
-    if fn is None:
-        fn = getattr(getattr(monitor, "sketch", None), "query_batch", None)
-    if fn is not None:
-        return np.asarray(fn(np.asarray(keys)), dtype=np.float64)
-    return np.array([monitor.query(int(key)) for key in keys], dtype=np.float64)
+from repro.sketches.base import Monitor
 
 
-class SlidingWindowMonitor:
+class SlidingWindowMonitor(Monitor):
     """Ring of epoch sketches answering queries over the last W epochs.
 
     Parameters
@@ -84,9 +76,9 @@ class SlidingWindowMonitor:
         self._merged = None
         # Instrumentation handed down by an owner (the daemon): applied
         # to every ring member and to each newly-opened epoch.
-        self._ops = None
-        self._telemetry = None
-        self._profiler = None
+        self._ops = Monitor.ops
+        self._telemetry = Monitor.telemetry
+        self._profiler = Monitor.profiler
 
     @classmethod
     def from_template(
@@ -116,12 +108,9 @@ class SlidingWindowMonitor:
 
     def _wire(self, monitor) -> None:
         """Apply the owner's instrumentation to one epoch monitor."""
-        if self._ops is not None and hasattr(monitor, "ops"):
-            monitor.ops = self._ops
-        if self._telemetry is not None and hasattr(monitor, "telemetry"):
-            monitor.telemetry = self._telemetry
-        if self._profiler is not None and hasattr(monitor, "profiler"):
-            monitor.profiler = self._profiler
+        monitor.ops = self._ops
+        monitor.telemetry = self._telemetry
+        monitor.profiler = self._profiler
 
     @property
     def ops(self):
@@ -132,8 +121,7 @@ class SlidingWindowMonitor:
     def ops(self, value) -> None:
         self._ops = value
         for monitor in self.window_monitors():
-            if hasattr(monitor, "ops"):
-                monitor.ops = value
+            monitor.ops = value
 
     @property
     def telemetry(self):
@@ -144,8 +132,7 @@ class SlidingWindowMonitor:
     def telemetry(self, value) -> None:
         self._telemetry = value
         for monitor in self.window_monitors():
-            if hasattr(monitor, "telemetry"):
-                monitor.telemetry = value
+            monitor.telemetry = value
 
     @property
     def profiler(self):
@@ -156,25 +143,30 @@ class SlidingWindowMonitor:
     def profiler(self, value) -> None:
         self._profiler = value
         for monitor in self.window_monitors():
-            if hasattr(monitor, "profiler"):
-                monitor.profiler = value
+            monitor.profiler = value
 
     # -- ingest -------------------------------------------------------------
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """Ingest one packet, rotating the ring at epoch boundaries."""
-        self._current.update(key, weight)
+        self._current.update(key, weight, timestamp=timestamp)
         self._current_count += 1
         self._merged = None
         if self.epoch_packets and self._current_count >= self.epoch_packets:
             self.rotate()
 
-    def update_batch(self, keys) -> None:
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
         """Batched ingest honouring epoch boundaries.
 
         The common case -- the whole batch fits inside the current
         epoch -- is one kernel call with no slicing; only batches that
-        cross an epoch boundary pay the split loop.
+        cross an epoch boundary pay the split loop, and each slice gets
+        its packet share of ``duration_seconds``.
         """
         keys = np.asarray(keys)
         total = len(keys)
@@ -185,14 +177,21 @@ class SlidingWindowMonitor:
             self.epoch_packets == 0
             or self._current_count + total < self.epoch_packets
         ):
-            self._current.update_batch(keys)
+            self._current.update_batch(
+                keys, weights, duration_seconds=duration_seconds
+            )
             self._current_count += total
             return
+        share = None if duration_seconds is None else duration_seconds / total
         start = 0
         while start < total:
             room = self.epoch_packets - self._current_count
             stop = min(start + room, total)
-            self._current.update_batch(keys[start:stop])
+            self._current.update_batch(
+                keys[start:stop],
+                None if weights is None else weights[start:stop],
+                duration_seconds=None if share is None else share * (stop - start),
+            )
             self._current_count += stop - start
             start = stop
             if self._current_count >= self.epoch_packets:
@@ -202,10 +201,9 @@ class SlidingWindowMonitor:
         """Close the in-progress epoch and open a fresh one.
 
         The evicted epoch (if the ring is full) is recycled via
-        ``reset()`` when the monitor supports it -- reset-equals-fresh
-        is part of the monitor contract (verified by ``selfcheck``), so
-        recycling avoids a factory rebuild per epoch without changing
-        behaviour.
+        ``reset()`` -- reset-equals-fresh is part of the monitor
+        contract (verified by ``selfcheck``), so recycling avoids a
+        factory rebuild per epoch without changing behaviour.
         """
         self._ring.append(self._current)
         self._ring_counts.append(self._current_count)
@@ -213,7 +211,7 @@ class SlidingWindowMonitor:
         while len(self._ring) > self.window_epochs - 1:
             evicted = self._ring.popleft()
             self._ring_counts.popleft()
-        if evicted is not None and hasattr(evicted, "reset"):
+        if evicted is not None:
             evicted.reset()
             self._current = evicted
         else:
@@ -260,7 +258,7 @@ class SlidingWindowMonitor:
 
     def query_batch(self, keys) -> "np.ndarray":
         """Batched window estimates (one fused pass over the merge)."""
-        return _query_batch_of(self.merged(), np.asarray(keys))
+        return self.merged().query_batch(np.asarray(keys))
 
     def heavy_hitters(self, threshold: float) -> List[Tuple[int, float]]:
         """Window heavy hitters from per-epoch candidates + window counts.
@@ -302,10 +300,7 @@ class SlidingWindowMonitor:
     @property
     def packets_sampled(self) -> Optional[int]:
         """Aggregate sampled packets, or None for non-sampling monitors."""
-        values = [
-            getattr(monitor, "packets_sampled", None)
-            for monitor in self.window_monitors()
-        ]
+        values = [monitor.packets_sampled for monitor in self.window_monitors()]
         if any(value is None for value in values):
             return None
         return sum(int(value) for value in values)
@@ -351,10 +346,7 @@ class SlidingWindowMonitor:
         if any(count < 0 for count in self._ring_counts):
             violations.append("window: negative ring packet count")
         for index, monitor in enumerate(self.window_monitors()):
-            check = getattr(monitor, "check_invariants", None)
-            if check is None:
-                continue
-            for violation in check():
+            for violation in monitor.check_invariants():
                 violations.append("window[%d]: %s" % (index, violation))
         return violations
 

@@ -23,7 +23,7 @@ vanilla sketch's -- Theorems 1/2/5 give the accuracy guarantees.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from repro.core.config import NitroConfig, NitroMode
 from repro.core.geometric import GeometricSampler, geometric_positions
 from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
 from repro.kernels.distinct import sorted_distinct_count
-from repro.sketches.base import CanonicalSketch
+from repro.sketches.base import CanonicalSketch, Monitor
 from repro.sketches.topk import TopK
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.profile import NULL_PROFILER
 
 #: Cycles the pre-processing stage spends on an *unsampled* packet: one
 #: batch-pointer advance plus the slot-counter decrement (Figure 7b,
@@ -42,7 +41,7 @@ from repro.telemetry.profile import NULL_PROFILER
 PREPROCESS_CYCLES_PER_PACKET = 4.0
 
 
-class NitroSketch:
+class NitroSketch(Monitor):
     """Counter-array-sampling accelerator for canonical sketches.
 
     Parameters
@@ -91,12 +90,6 @@ class NitroSketch:
             self.correctness = AlwaysCorrectController(config, sketch)
             self.sampler.set_probability(1.0)
         self._telemetry = NULL_TELEMETRY
-        #: Per-stage latency profiler (see
-        #: :class:`repro.telemetry.profile.StageProfiler`).  The default
-        #: null profiler costs one method call per batch; attach a real
-        #: one to decompose batch ingest into geometric_skip / row_hash
-        #: / scatter / query stage histograms.
-        self.profiler = NULL_PROFILER
         #: Optional callable invoked as ``hook(self)`` after every
         #: :meth:`update_batch`.  The verify harness installs one that
         #: raises on any :meth:`check_invariants` violation; ``None``
@@ -253,11 +246,6 @@ class NitroSketch:
             if self.correctness.on_packet():
                 self._set_probability(self.config.probability, "converged")
 
-    def update_many(self, keys: Iterable[int]) -> None:
-        """Scalar-loop ingest of a key sequence."""
-        for key in keys:
-            self.update(key)
-
     def update_batch(
         self,
         keys: "np.ndarray",
@@ -391,6 +379,10 @@ class NitroSketch:
         """Point frequency estimate (the wrapped sketch's own rule)."""
         return self.sketch.query(key)
 
+    def query_batch(self, keys: "np.ndarray") -> "np.ndarray":
+        """Batched point estimates (the wrapped sketch's fused path)."""
+        return self.sketch.query_batch(keys)
+
     def _fresh_estimates(self) -> List[Tuple[int, float]]:
         """Batch-requery every tracked key (one fused query_batch call)."""
         tracked = list(self.topk.keys()) if self.topk is not None else []
@@ -489,8 +481,7 @@ class NitroSketch:
                 "nitro: fixed-mode sampler p=%g != config p=%g"
                 % (probability, self.config.probability)
             )
-        if hasattr(self.sketch, "check_invariants"):
-            violations.extend(self.sketch.check_invariants())
+        violations.extend(self.sketch.check_invariants())
         if self.topk is not None:
             violations.extend(self.topk.check_invariants())
         return violations

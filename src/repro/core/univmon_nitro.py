@@ -34,7 +34,6 @@ from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
 from repro.core.nitro import PREPROCESS_CYCLES_PER_PACKET
 from repro.kernels.distinct import sorted_distinct, sorted_distinct_count
 from repro.sketches.univmon import UnivMon, default_level_factory
-from repro.telemetry.profile import NULL_PROFILER
 
 
 class NitroUnivMon(UnivMon):
@@ -67,9 +66,6 @@ class NitroUnivMon(UnivMon):
         self._pending = self.sampler.next_gap() - 1
         self._packets_sampled = 0
         self._batch_rng = np.random.default_rng(config.seed ^ 0x7A7A7A7A)
-        # Same stage-profiler contract as NitroSketch: assign a live
-        # StageProfiler to time geometric_skip/scatter/query per batch.
-        self.profiler = NULL_PROFILER
 
         self.linerate: Optional[AlwaysLineRateController] = None
         self.correctness: Optional[AlwaysCorrectController] = None

@@ -59,7 +59,7 @@ def run(scale: float = 0.2, seed: int = 0) -> ExperimentResult:
                 self.sketch, PROBABILITY, seed=seed + 1
             )
 
-        def update_batch(self, keys, weights=None):
+        def update_batch(self, keys, weights=None, duration_seconds=None):
             import numpy as np
 
             self._wrapper.update_batch(keys, weights)

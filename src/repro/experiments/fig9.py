@@ -107,7 +107,7 @@ def run_fig9b(scale: float = 0.02, seed: int = 0) -> ExperimentResult:
         if extra_probe_per_packet:
             # Without the reduced-heap optimisation every packet still
             # probes the top-keys table; add that cost back in.
-            probes = daemon.ops.packets - getattr(monitor, "packets_sampled", 0)
+            probes = daemon.ops.packets - (monitor.packets_sampled or 0)
             extra_cycles = max(probes, 0) * cost_model.costs.table_lookup
             per_packet = (
                 sim.switch_cycles_per_packet

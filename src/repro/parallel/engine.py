@@ -226,7 +226,7 @@ def _frame_meta(
         sketch = _owned_sketch(monitor)
         if hasattr(sketch, "total"):
             meta["sketch_total"] = float(sketch.total)
-        if hasattr(monitor, "packets_sampled"):
+        if monitor.packets_sampled is not None:
             meta["packets_sampled"] = int(monitor.packets_sampled)
         topk = getattr(monitor, "topk", None)
         if topk is not None:
@@ -498,7 +498,7 @@ def _combine_shared(
         )
     if hasattr(base, "packets_seen"):
         base.packets_seen = int(sum(meta["packets_total"] for meta in metas))
-    if hasattr(base, "packets_sampled"):
+    if base.packets_sampled is not None:
         base.packets_sampled = int(
             sum(meta.get("packets_sampled", 0) for meta in metas)
         )

@@ -19,7 +19,7 @@ Strawman baselines from Section 4.1:
 * :class:`UniformSampledSketch` -- Strawman 2 (per-packet coin flips).
 """
 
-from repro.sketches.base import Sketch, CanonicalSketch
+from repro.sketches.base import Monitor, Sketch, CanonicalSketch
 from repro.sketches.topk import TopK
 from repro.sketches.tracked import TrackedSketch
 from repro.sketches.countmin import CountMinSketch, ConservativeCountMinSketch
@@ -44,6 +44,7 @@ from repro.sketches.one_array import OneArrayCountSketch
 from repro.sketches.sampled import UniformSampledSketch
 
 __all__ = [
+    "Monitor",
     "Sketch",
     "CanonicalSketch",
     "TopK",

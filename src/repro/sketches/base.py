@@ -1,8 +1,10 @@
-"""Sketch interfaces.
+"""Monitor and sketch interfaces.
 
-Two layers of interface:
+Three layers of interface:
 
-* :class:`Sketch` -- anything that can ingest a key stream and answer
+* :class:`Monitor` -- the contract every monitor satisfies, so owners
+  (daemon, window ring, auditor) drive any of them without probing.
+* :class:`Sketch` -- a monitor that can ingest a key stream and answer
   point queries (includes non-canonical structures such as Misra-Gries
   and the hashtable baseline).
 * :class:`CanonicalSketch` -- the "canonical workflow" the paper targets
@@ -26,26 +28,67 @@ import numpy as np
 from repro.hashing.families import MultiplyShiftHash, MultiplyShiftSign, derive_seeds
 from repro.kernels import SketchKernel
 from repro.metrics.opcount import NULL_OPS
+from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry.profile import NULL_PROFILER
 
 
-class Sketch(abc.ABC):
-    """Minimal streaming-summary interface."""
+class Monitor:
+    """The contract every monitor satisfies.
+
+    Owners assign ``ops``, ``telemetry`` and ``profiler`` and ingest
+    through ``update(key, weight=1.0, timestamp=None)`` or
+    ``update_batch(keys, weights=None, duration_seconds=None)``; a
+    monitor that does not adapt to rate ignores the arrival time and
+    the batch span.  ``update``, ``query``, ``reset`` and
+    ``memory_bytes`` are each class's own; the rest are defaults.
+    """
 
     #: Operation sink; assign an :class:`repro.metrics.OpCounter` to profile.
     ops = NULL_OPS
-
-    @abc.abstractmethod
-    def update(self, key: int, weight: float = 1.0) -> None:
-        """Ingest one packet of flow ``key`` (``weight`` packets/bytes)."""
-
-    @abc.abstractmethod
-    def query(self, key: int) -> float:
-        """Estimate the total weight of flow ``key``."""
+    #: Telemetry sink; the null sink records nothing.
+    telemetry = NULL_TELEMETRY
+    #: Stage profiler; attach a ``StageProfiler`` to time batch stages.
+    profiler = NULL_PROFILER
+    #: Packets that reached the counters; ``None``: every packet does.
+    packets_sampled: Optional[int] = None
 
     def update_many(self, keys: Iterable[int]) -> None:
         """Ingest a sequence of keys one by one (convenience)."""
         for key in keys:
             self.update(key)
+
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
+        """Ingest a batch by feeding :meth:`update` key by key."""
+        keys = np.asarray(keys).tolist()
+        weights = [1.0] * len(keys) if weights is None else np.asarray(weights).tolist()
+        for key, weight in zip(keys, weights):
+            self.update(key, weight)
+
+    def query_batch(self, keys: "np.ndarray") -> "np.ndarray":
+        """Point queries for a batch, one :meth:`query` per key."""
+        keys = np.asarray(keys).tolist()
+        return np.array([self.query(key) for key in keys], dtype=np.float64)
+
+    def check_invariants(self) -> List[str]:
+        """Structural self-checks; returns violation strings (none here)."""
+        return []
+
+
+class Sketch(Monitor, abc.ABC):
+    """Minimal streaming-summary interface."""
+
+    @abc.abstractmethod
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
+        """Ingest one packet of flow ``key`` (``weight`` packets/bytes)."""
+
+    @abc.abstractmethod
+    def query(self, key: int) -> float:
+        """Estimate the total weight of flow ``key``."""
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:
@@ -187,7 +230,7 @@ class CanonicalSketch(Sketch):
         queries exactly the way its vanilla version would.
         """
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """Vanilla update: touch every row (``d`` hashes, ``d`` counters)."""
         self.ops.packet()
         for row in range(self.depth):
@@ -252,6 +295,7 @@ class CanonicalSketch(Sketch):
         keys: "np.ndarray",
         weights: Optional["np.ndarray"] = None,
         count_packets: bool = True,
+        duration_seconds: Optional[float] = None,
     ) -> None:
         """Vectorised vanilla update of a key batch (Idea-D analogue).
 

@@ -12,7 +12,7 @@ The paper's evaluation configures CMS as 5 rows x 1000 counters
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ConservativeCountMinSketch(CountMinSketch):
     operation and cannot be wrapped by NitroSketch's row sampling.
     """
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         self.ops.packet()
         buckets = [self.row_bucket(row, key) for row in range(self.depth)]
         values = [self.counters[row, bucket] for row, bucket in enumerate(buckets)]

@@ -46,6 +46,7 @@ class KArySketch(CanonicalSketch):
         keys: "np.ndarray",
         weights: Optional["np.ndarray"] = None,
         count_packets: bool = True,
+        duration_seconds: Optional[float] = None,
     ) -> None:
         keys = np.asarray(keys)
         super().update_batch(keys, weights, count_packets=count_packets)
@@ -58,6 +59,11 @@ class KArySketch(CanonicalSketch):
         # Each row_update would have added increment/depth; a batch that
         # applied ``mass`` total increments contributes mass/depth.
         self.total += mass / self.depth
+
+    def merge(self, other: "KArySketch") -> None:
+        """Add the other sketch's counters and its stream-mass total."""
+        super().merge(other)
+        self.total += other.total
 
     def combine_rows(self, estimates: List[float]) -> float:
         ordered = sorted(estimates)

@@ -15,7 +15,7 @@ amortised update cost stays O(1) rather than O(k).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sketches.base import Sketch
 
@@ -31,7 +31,7 @@ class MisraGries(Sketch):
         #: Total weight removed by decrement steps (the MG error bound).
         self.decrement_total = 0.0
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         self.ops.packet()
         self.ops.table_lookup()
         counters = self._counters

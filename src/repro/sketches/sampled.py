@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from repro.hashing.prng import XorShift64Star
-from repro.sketches.base import CanonicalSketch
+from repro.sketches.base import CanonicalSketch, Monitor
 
 
-class UniformSampledSketch:
+class UniformSampledSketch(Monitor):
     """Uniform per-packet sampling wrapper around a canonical sketch.
 
     Parameters
@@ -64,7 +64,7 @@ class UniformSampledSketch:
     def ops(self, sink) -> None:
         self.sketch.ops = sink
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """One coin flip per packet; sampled packets pay the full d-row cost."""
         self.packets_seen += 1
         self.ops.packet()
@@ -76,7 +76,12 @@ class UniformSampledSketch:
         for row in range(self.sketch.depth):
             self.sketch.row_update(row, key, weight * scale)
 
-    def update_batch(self, keys: "np.ndarray", weights: Optional["np.ndarray"] = None) -> None:
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
         """Vectorised variant: one uniform draw per packet, then batch update."""
         keys = np.asarray(keys)
         count = len(keys)

@@ -19,7 +19,7 @@ updates stay O(log k).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sketches.base import Sketch
 
@@ -35,7 +35,7 @@ class SpaceSaving(Sketch):
         self._errors: Dict[int, float] = {}
         self._heap: List[Tuple[float, int]] = []
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         self.ops.packet()
         self.ops.table_lookup()
         counts = self._counts

@@ -14,11 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sketches.base import CanonicalSketch
+from repro.sketches.base import CanonicalSketch, Monitor
 from repro.sketches.topk import TopK
 
 
-class TrackedSketch:
+class TrackedSketch(Monitor):
     """``sketch + TopK``: per-packet update, estimate, heap offer."""
 
     def __init__(self, sketch: CanonicalSketch, k: int = 100) -> None:
@@ -41,17 +41,9 @@ class TrackedSketch:
     def update(
         self, key: int, weight: float = 1.0, timestamp: Optional[float] = None
     ) -> None:
-        """Update all rows and offer the fresh estimate to the heap.
-
-        ``timestamp`` is accepted (and ignored) so wrappers can drive
-        this and NitroSketch through one call shape.
-        """
+        """Update all rows and offer the fresh estimate to the heap."""
         estimate = self.sketch.update_and_estimate(key, weight)
         self.topk.offer(key, estimate)
-
-    def update_many(self, keys) -> None:
-        for key in keys:
-            self.update(key)
 
     def update_batch(
         self,
@@ -59,10 +51,7 @@ class TrackedSketch:
         weights: Optional["np.ndarray"] = None,
         duration_seconds: Optional[float] = None,
     ) -> None:
-        """Vectorised ingest; the heap is refreshed with final estimates.
-
-        ``duration_seconds`` is accepted (and ignored), as for ``update``.
-        """
+        """Vectorised ingest; the heap is refreshed with final estimates."""
         keys = np.asarray(keys)
         if len(keys) == 0:
             return

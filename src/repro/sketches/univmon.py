@@ -28,13 +28,14 @@ Sketch instance in UnivMon with ... NitroSketch", Section 8).
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.hashing.families import derive_seeds
 from repro.hashing.tabulation import TabulationHash
 from repro.metrics.opcount import NULL_OPS
+from repro.sketches.base import Monitor
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.topk import TopK
 
@@ -71,7 +72,7 @@ def g_l1(frequency: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class HeavyHitterSketch:
+class HeavyHitterSketch(Monitor):
     """A Count Sketch paired with a top-k key store.
 
     This is the vanilla per-level unit of UnivMon (Figure 7a): every
@@ -94,7 +95,7 @@ class HeavyHitterSketch:
         self.sketch.ops = sink
         self.topk.ops = sink
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         estimate = self.sketch.update_and_estimate(key, weight)
         self.topk.offer(key, estimate)
 
@@ -147,7 +148,7 @@ def default_level_factory(
 # ---------------------------------------------------------------------------
 
 
-class UnivMon:
+class UnivMon(Monitor):
     """The universal sketch.
 
     Parameters
@@ -244,7 +245,7 @@ class UnivMon:
 
     # -- data plane ---------------------------------------------------------
 
-    def update(self, key: int, weight: float = 1.0) -> None:
+    def update(self, key: int, weight: float = 1.0, timestamp: Optional[float] = None) -> None:
         """Feed one packet into every level containing its key."""
         self.ops.packet()
         self.packets_seen += 1
@@ -253,10 +254,6 @@ class UnivMon:
         deepest = self.sampled_depth(key)
         for level in range(deepest + 1):
             self.sketches[level].update(key, weight)
-
-    def update_many(self, keys) -> None:
-        for key in keys:
-            self.update(key)
 
     def update_batch(
         self, keys, weights=None, duration_seconds=None, count_packets=True
@@ -398,7 +395,7 @@ class UnivMon:
         """
         total = 0
         for sketch in self.sketches:
-            sampled = getattr(sketch, "packets_sampled", None)
+            sampled = sketch.packets_sampled
             if sampled is None:
                 return self.packets_seen
             total += sampled

@@ -14,14 +14,14 @@ flavours:
   sketches need every header copied.
 
 :class:`MeasurementDaemon` wraps any monitor (vanilla sketch, Nitro
-sketch, UnivMon, baseline) with an operation counter and the ingest
-logic; :mod:`repro.switchsim.simulator` combines it with a pipeline.
+sketch, UnivMon, baseline -- every :class:`~repro.sketches.base.Monitor`)
+with an operation counter and the ingest logic;
+:mod:`repro.switchsim.simulator` combines it with a pipeline.
 """
 
 from __future__ import annotations
 
 import enum
-import inspect
 import time
 from collections import deque
 from typing import Deque, List, Optional
@@ -30,20 +30,6 @@ from repro.metrics.opcount import OpCounter
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.profile import NULL_PROFILER
 from repro.traffic.replay import Batch
-
-
-def _accepts_kwarg(callable_obj, name: str) -> bool:
-    """True if ``callable_obj`` can be passed keyword argument ``name``."""
-    try:
-        parameters = inspect.signature(callable_obj).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    if name in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 class IntegrationMode(enum.Enum):
@@ -59,13 +45,16 @@ class MeasurementDaemon:
     Parameters
     ----------
     monitor:
-        Anything with ``update(key)`` (and optionally ``update_batch``,
-        ``ops``, ``memory_bytes``, ``packets_sampled``).
+        A :class:`~repro.sketches.base.Monitor`.  The daemon hands it
+        its ``ops``, ``telemetry`` and ``profiler``, and feeds it each
+        batch as ``update_batch(keys, duration_seconds=...)`` (the
+        batch's wall-clock span drives AlwaysLineRate).
     mode:
         AIO or separate-thread (affects how the simulator bills cycles).
     use_batch:
-        Prefer the monitor's vectorised ``update_batch`` when available
-        (the paper's buffered Idea-D path); scalar ingest otherwise.
+        Ingest through ``update_batch`` (the paper's buffered Idea-D
+        path; default).  ``False`` feeds every packet through
+        ``update(key, 1.0, timestamp=...)`` instead.
     auditor:
         Optional :class:`~repro.telemetry.audit.ShadowAuditor` or
         :class:`~repro.telemetry.audit.GuaranteeMonitor`: every ingested
@@ -140,7 +129,7 @@ class MeasurementDaemon:
         )
         self.mode = mode
         self.name = name or type(monitor).__name__
-        self.use_batch = use_batch and hasattr(monitor, "update_batch")
+        self.use_batch = use_batch
         self.ops = OpCounter()
         self.telemetry = telemetry
         # Per-stage latency profiler, handed to the monitor so hot-path
@@ -176,15 +165,6 @@ class MeasurementDaemon:
         self._packets_since_epoch = 0
         self.batches_ingested = 0
         self._batches_since_checkpoint = 0
-        # Probe both call signatures once up front (as for ``update``'s
-        # timestamp) so ingest never wraps the monitor in a try/except
-        # that would also swallow TypeErrors raised *inside* it.
-        self._update_takes_timestamp = _accepts_kwarg(
-            getattr(monitor, "update", None), "timestamp"
-        )
-        self._batch_takes_duration = self.use_batch and _accepts_kwarg(
-            monitor.update_batch, "duration_seconds"
-        )
 
     @property
     def profiler(self):
@@ -199,12 +179,9 @@ class MeasurementDaemon:
     def _attach(self, monitor) -> None:
         """Adopt ``monitor`` and hand it the daemon's ops, telemetry and profiler."""
         self.monitor = monitor
-        if hasattr(monitor, "ops"):
-            monitor.ops = self.ops
-        if hasattr(monitor, "telemetry"):
-            monitor.telemetry = self.telemetry
-        if hasattr(monitor, "profiler"):
-            monitor.profiler = self._profiler
+        monitor.ops = self.ops
+        monitor.telemetry = self.telemetry
+        monitor.profiler = self._profiler
 
     def _shape_detectors(self) -> None:
         """Each ring epoch holds exactly one epoch of traffic, so the
@@ -386,39 +363,29 @@ class MeasurementDaemon:
 
     def _ingest_inner(self, batch: Batch) -> None:
         if self.use_batch:
-            if self._batch_takes_duration:
-                self.monitor.update_batch(
-                    batch.keys, duration_seconds=batch.duration_seconds
-                )
-            else:
-                self.monitor.update_batch(batch.keys)
+            self.monitor.update_batch(
+                batch.keys, duration_seconds=batch.duration_seconds
+            )
             return
         monitor_update = self.monitor.update
-        if self._update_takes_timestamp:
-            timestamps = batch.timestamps
-            for index, key in enumerate(batch.keys.tolist()):
-                monitor_update(key, 1.0, timestamp=float(timestamps[index]))
-        else:
-            for key in batch.keys.tolist():
-                monitor_update(key)
+        for key, timestamp in zip(batch.keys.tolist(), batch.timestamps.tolist()):
+            monitor_update(key, 1.0, timestamp=timestamp)
 
     def sampled_fraction(self) -> float:
         """Fraction of packets the pre-processing stage forwards.
 
-        NitroSketch exposes ``packets_sampled``; everything else needs
-        every header (fraction 1.0).
+        Sampling monitors count ``packets_sampled`` against
+        ``packets_seen``; a monitor whose ``packets_sampled`` is ``None``
+        needs every header (fraction 1.0).
         """
-        sampled = getattr(self.monitor, "packets_sampled", None)
-        seen = getattr(self.monitor, "packets_seen", None)
-        if sampled is None or not seen:
+        sampled = self.monitor.packets_sampled
+        if sampled is None or not self.monitor.packets_seen:
             return 1.0
-        return sampled / seen
+        return sampled / self.monitor.packets_seen
 
     def memory_bytes(self) -> int:
         """The monitor's randomly-accessed working set."""
-        if hasattr(self.monitor, "memory_bytes"):
-            return self.monitor.memory_bytes()
-        return 0
+        return self.monitor.memory_bytes()
 
     def check_invariants(self) -> List[str]:
         """Ingest-accounting coherence checks; returns violation strings."""
@@ -441,8 +408,7 @@ class MeasurementDaemon:
                 "daemon %s: checkpoint overdue (%d batches since, interval %d)"
                 % (self.name, self._batches_since_checkpoint, self.checkpoint_interval)
             )
-        if hasattr(self.monitor, "check_invariants"):
-            violations.extend(self.monitor.check_invariants())
+        violations.extend(self.monitor.check_invariants())
         return violations
 
     def reset(self) -> None:
@@ -462,9 +428,8 @@ class MeasurementDaemon:
         self.epochs_completed = 0
         self._batches_since_epoch = 0
         self._packets_since_epoch = 0
-        if hasattr(self.monitor, "reset"):
-            self.monitor.reset()
-        if self.auditor is not None and hasattr(self.auditor, "reset"):
+        self.monitor.reset()
+        if self.auditor is not None:
             self.auditor.reset()
-        if self.anomaly is not None and hasattr(self.anomaly, "reset"):
+        if self.anomaly is not None:
             self.anomaly.reset()

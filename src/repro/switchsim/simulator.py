@@ -92,16 +92,14 @@ class SwitchSimulator:
             pipeline.telemetry = telemetry
             if daemon is not None:
                 daemon.telemetry = telemetry
-                if hasattr(daemon.monitor, "telemetry"):
-                    daemon.monitor.telemetry = telemetry
+                daemon.monitor.telemetry = telemetry
                 # The shadow auditor (when attached) exports its error
                 # gauges into the same registry as everything else.
                 auditor = daemon.auditor
                 if auditor is not None:
-                    if hasattr(auditor, "telemetry"):
-                        auditor.telemetry = telemetry
+                    auditor.telemetry = telemetry
                     inner = getattr(auditor, "auditor", None)
-                    if inner is not None and hasattr(inner, "telemetry"):
+                    if inner is not None:
                         inner.telemetry = telemetry
 
     def run(

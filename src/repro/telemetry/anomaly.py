@@ -174,7 +174,7 @@ class SketchAnomalyDetectors:
     def _candidates(self, monitor, sketch) -> List[int]:
         keys = set(self._prev_heavy)
         topk = getattr(monitor, "topk", None)
-        if topk is not None and hasattr(topk, "keys"):
+        if topk is not None:
             keys.update(int(key) for key in topk.keys())
         if not keys:
             return []

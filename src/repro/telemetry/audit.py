@@ -219,10 +219,10 @@ class ShadowAuditor:
     def audit(self, monitor) -> AuditReport:
         """Query ``monitor`` for every reservoir key; export error gauges.
 
-        ``monitor`` is anything with ``query(key)`` (``query_batch`` is
-        used when available, directly or via a wrapped ``.sketch``).
-        The queries run with the monitor's op accounting suspended so an
-        audited run keeps the exact op tallies of an unaudited one.
+        ``monitor`` is any :class:`~repro.sketches.base.Monitor`; one
+        ``query_batch`` call answers every key.  The queries run with
+        the monitor's op accounting suspended so an audited run keeps
+        the exact op tallies of an unaudited one.
         """
         self.audits += 1
         keys = list(self.truth)
@@ -262,20 +262,13 @@ class ShadowAuditor:
             return []
         # Suspend op accounting: audits are control-plane reads and must
         # not perturb the data plane's operation tallies.
-        previous_ops = getattr(monitor, "ops", None)
-        if previous_ops is not None:
-            monitor.ops = NULL_OPS
+        previous_ops = monitor.ops
+        monitor.ops = NULL_OPS
         try:
-            batcher = getattr(monitor, "query_batch", None)
-            if batcher is None:
-                inner = getattr(monitor, "sketch", None)
-                batcher = getattr(inner, "query_batch", None)
-            if batcher is not None:
-                return [float(v) for v in batcher(np.asarray(keys, dtype=np.int64))]
-            return [float(monitor.query(key)) for key in keys]
+            estimates = monitor.query_batch(np.asarray(keys, dtype=np.int64))
+            return [float(value) for value in estimates]
         finally:
-            if previous_ops is not None:
-                monitor.ops = previous_ops
+            monitor.ops = previous_ops
 
     def _export(self, report: AuditReport) -> None:
         telemetry = self.telemetry

@@ -45,6 +45,14 @@ def implied_epsilon(width: int, probability: float) -> float:
     return math.sqrt(8.0 / (width * probability))
 
 
+#: The canonical sketch families the bit-exact vanilla checks run.
+_VANILLA_FAMILIES = [
+    lambda s: CountSketch(5, 512, s),
+    lambda s: CountMinSketch(4, 512, s),
+    lambda s: KArySketch(5, 512, s),
+]
+
+
 def _default_trace(packets: int, seed: int) -> Trace:
     return caida_like(packets, n_flows=max(200, packets // 20), seed=seed)
 
@@ -62,13 +70,7 @@ def check_vanilla_scalar_vs_batch(
     name = "differential.vanilla_scalar_vs_batch"
     trace = _default_trace(packets, seed)
     factories = (
-        [sketch_factory]
-        if sketch_factory is not None
-        else [
-            lambda s: CountSketch(5, 512, s),
-            lambda s: CountMinSketch(4, 512, s),
-            lambda s: KArySketch(5, 512, s),
-        ]
+        [sketch_factory] if sketch_factory is not None else _VANILLA_FAMILIES
     )
     for factory in factories:
         scalar = factory(seed)
@@ -109,32 +111,44 @@ def check_vanilla_scalar_vs_batch(
 
 
 def check_merge_of_shards(packets: int = 4_000, seed: int = 0, shards: int = 4) -> CheckResult:
-    """Merged per-shard sketches must equal the single-run sketch bit-exactly.
+    """Merged per-shard sketches must equal the single-run sketch.
 
     Sketch linearity is what makes distributed monitoring work; a merge
     that drops or double-counts mass breaks every downstream estimate.
+    Counter grids must match bit-exactly, and point queries (K-ary's
+    read the stream-mass total) within the scalar-vs-batch tolerance.
     """
     name = "differential.merge_of_shards"
     trace = _default_trace(packets, seed)
-    whole = CountSketch(5, 512, seed)
-    whole.update_batch(trace.keys)
-    merged = CountSketch(5, 512, seed)
     bounds = np.linspace(0, len(trace.keys), shards + 1).astype(int)
-    for index in range(shards):
-        shard = CountSketch(5, 512, seed)
-        shard.update_batch(trace.keys[bounds[index] : bounds[index + 1]])
-        merged.merge(shard)
-    if not np.array_equal(whole.counters, merged.counters):
+    probe = trace.keys[:64]
+    for factory in _VANILLA_FAMILIES:
+        whole = factory(seed)
+        whole.update_batch(trace.keys)
+        merged = factory(seed)
+        for index in range(shards):
+            shard = factory(seed)
+            shard.update_batch(trace.keys[bounds[index] : bounds[index + 1]])
+            merged.merge(shard)
         delta = float(np.max(np.abs(whole.counters - merged.counters)))
-        return CheckResult.fail(
-            name,
-            "merge of %d shards diverges from the single run (max |delta| %g)"
-            % (shards, delta),
-            max_delta=delta,
-        )
+        expected, actual = whole.query_batch(probe), merged.query_batch(probe)
+        if delta or not np.allclose(expected, actual, rtol=1e-9, atol=1e-6):
+            return CheckResult.fail(
+                name,
+                "%s: merge of %d shards diverges from the single run "
+                "(max |counter delta| %g, max |query delta| %g)"
+                % (
+                    type(whole).__name__,
+                    shards,
+                    delta,
+                    float(np.max(np.abs(expected - actual))),
+                ),
+                max_delta=delta,
+            )
     return CheckResult.ok(
         name,
-        "merge of %d vanilla shards bit-exact vs the single run" % shards,
+        "merge of %d vanilla shards matches the single run over %d sketch "
+        "families" % (shards, len(_VANILLA_FAMILIES)),
         packets=float(packets),
     )
 

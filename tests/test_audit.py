@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.theory import l1_error_bound, l2_error_bound
 from repro.core import NitroSketch, nitro_countmin
 from repro.metrics.opcount import OpCounter
-from repro.sketches import CountMinSketch, CountSketch
+from repro.sketches import CountMinSketch, CountSketch, Monitor
 from repro.switchsim import MeasurementDaemon, SwitchSimulator, VPPPipeline
 from repro.telemetry import Telemetry, TelemetryServer
 from repro.telemetry.audit import AuditReport, GuaranteeMonitor, ShadowAuditor
@@ -115,7 +115,7 @@ class TestShadowAuditor:
             ShadowAuditor(capacity=0)
 
     def test_audit_reports_exact_match_as_zero_error(self):
-        class PerfectMonitor:
+        class PerfectMonitor(Monitor):
             def __init__(self, truth):
                 self.truth = truth
 
@@ -211,7 +211,7 @@ class TestGuaranteeMonitor:
         telemetry = Telemetry()
         auditor = ShadowAuditor(seed=0, telemetry=telemetry)
 
-        class FixedMonitor:
+        class FixedMonitor(Monitor):
             """Truth-independent estimator whose error we control."""
 
             def __init__(self):

@@ -110,6 +110,23 @@ class TestKArySketch:
             kary.update(key)
         assert kary.total == pytest.approx(10.0)
 
+    def test_merge_carries_the_mass_total(self):
+        """Regression: merge summed the counters but dropped the other
+        half's total, so every mean-corrected query read the wrong
+        background mass and check_invariants flagged mass leakage."""
+        keys = np.random.default_rng(6).integers(0, 1000, size=10_000)
+        whole = KArySketch(5, 256, seed=6)
+        whole.update_batch(keys)
+        merged = KArySketch(5, 256, seed=6)
+        other = KArySketch(5, 256, seed=6)
+        merged.update_batch(keys[:5_000])
+        other.update_batch(keys[5_000:])
+        merged.merge(other)
+        assert np.array_equal(merged.counters, whole.counters)
+        assert merged.total == pytest.approx(10_000.0)
+        assert merged.query(0) == pytest.approx(whole.query(0))
+        assert merged.check_invariants() == []
+
     def test_difference_sketch(self):
         a = KArySketch(5, 512, seed=4)
         b = KArySketch(5, 512, seed=4)

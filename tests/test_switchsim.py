@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import nitro_countsketch
 from repro.metrics.opcount import OpCounter
-from repro.sketches import CountSketch, TrackedSketch
+from repro.sketches import CountSketch, Monitor, TrackedSketch
 from repro.switchsim import (
     BESSPipeline,
     CostModel,
@@ -279,14 +279,17 @@ class TestDaemonAndSimulator:
         assert daemon.ops.packets == 0
 
 
-class _CountingMonitor:
+class _CountingMonitor(Monitor):
     """A free monitor so queue-drain timing measures the queue alone."""
 
     def __init__(self):
         self.packets = 0
 
-    def update_batch(self, keys):
+    def update_batch(self, keys, weights=None, duration_seconds=None):
         self.packets += len(keys)
+
+    def reset(self):
+        self.packets = 0
 
 
 class TestDaemonQueue:
@@ -304,7 +307,7 @@ class TestDaemonQueue:
         monitor = _CountingMonitor()
         seen = []
         original = monitor.update_batch
-        monitor.update_batch = lambda keys: (seen.append(int(keys[0])), original(keys))
+        monitor.update_batch = lambda keys, **_: (seen.append(int(keys[0])), original(keys))
         daemon = MeasurementDaemon(monitor, queue_capacity=4)
         accepted = [daemon.enqueue(self._batch(i * 100)) for i in range(7)]
         assert accepted == [True] * 4 + [False] * 3

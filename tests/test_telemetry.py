@@ -17,7 +17,7 @@ import pytest
 from repro.control import ControlPlane, HeavyHitterTask
 from repro.core import NitroConfig, NitroMode, NitroSketch
 from repro.metrics.opcount import OpCounter
-from repro.sketches import CountSketch
+from repro.sketches import CountSketch, Monitor
 from repro.switchsim import MeasurementDaemon, SwitchSimulator, VPPPipeline
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
@@ -519,57 +519,41 @@ class TestControlPlaneKeepMonitors:
             ControlPlane(lambda epoch: None, tasks=[], keep_monitors=0)
 
 
-class _ExplodingMonitor:
+class _ExplodingMonitor(Monitor):
     """update_batch raises an *internal* TypeError (a monitor bug)."""
 
-    def update(self, key):
+    def update(self, key, weight=1.0, timestamp=None):
         pass
 
-    def update_batch(self, keys):
+    def update_batch(self, keys, weights=None, duration_seconds=None):
         raise TypeError("internal monitor bug")
 
 
-class _DurationMonitor:
+class _DurationMonitor(Monitor):
     def __init__(self):
         self.calls = []
 
-    def update_batch(self, keys, duration_seconds=None):
+    def update_batch(self, keys, weights=None, duration_seconds=None):
         self.calls.append((len(keys), duration_seconds))
-
-
-class _PlainBatchMonitor:
-    def __init__(self):
-        self.calls = 0
-
-    def update_batch(self, keys):
-        self.calls += 1
 
 
 class TestDaemonDispatch:
     def test_internal_typeerror_propagates(self):
         """The daemon must not swallow TypeErrors raised inside the
-        monitor while probing for the duration_seconds kwarg."""
+        monitor's ingest."""
         daemon = MeasurementDaemon(_ExplodingMonitor())
         with pytest.raises(TypeError, match="internal monitor bug"):
             daemon.ingest(_make_batch([1, 2, 3]))
 
-    def test_duration_kwarg_detected_once(self):
+    def test_monitor_receives_batch_duration(self):
         monitor = _DurationMonitor()
         daemon = MeasurementDaemon(monitor)
-        assert daemon._batch_takes_duration
         daemon.ingest(_make_batch([1, 2, 3]))
         assert monitor.calls == [(3, pytest.approx(2e-6))]
 
-    def test_plain_batch_signature_called_bare(self):
-        monitor = _PlainBatchMonitor()
-        daemon = MeasurementDaemon(monitor)
-        assert not daemon._batch_takes_duration
-        daemon.ingest(_make_batch([1, 2, 3]))
-        assert monitor.calls == 1
-
     def test_daemon_records_telemetry(self):
         telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
-        daemon = MeasurementDaemon(_PlainBatchMonitor(), telemetry=telemetry)
+        daemon = MeasurementDaemon(_DurationMonitor(), telemetry=telemetry)
         daemon.ingest(_make_batch([1, 2, 3]))
         registry = telemetry.registry
         name = daemon.name

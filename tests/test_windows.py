@@ -290,6 +290,63 @@ class TestPipelineWiring:
         with pytest.raises(ValueError):
             MeasurementDaemon(nitro_factory()(), window_epochs=-1)
 
+    def test_windowed_daemon_passes_batch_duration_through(self):
+        """AlwaysLineRate adapts under a window exactly as without one:
+        the window hands each batch's duration to its epoch monitor."""
+        from repro.control.export import serialize_monitor
+        from repro.core import NitroMode
+        from repro.switchsim import MeasurementDaemon
+        from repro.traffic.replay import Batch
+
+        def line_rate():
+            return NitroSketch(
+                CountSketch(5, 4096, seed=3),
+                NitroConfig(probability=0.1, mode=NitroMode.ALWAYS_LINE_RATE, seed=3),
+            )
+
+        plain = MeasurementDaemon(line_rate())
+        windowed = MeasurementDaemon(line_rate(), window_epochs=2)
+        rng = np.random.default_rng(12)
+        for index in range(40):
+            # 4,096 packets spanning 10 ms each (0.41 Mpps); no epoch
+            # boundary, so the window's current monitor sees them all.
+            batch = Batch(
+                keys=rng.integers(0, 5000, 4096),
+                sizes=np.full(4096, 64, dtype=np.int32),
+                timestamps=index * 0.01 + np.linspace(0.0, 0.01, 4096),
+            )
+            plain.ingest(batch)
+            windowed.ingest(batch)
+        current = windowed.monitor.current_monitor()
+        assert plain.monitor.probability == 1.0
+        assert current.probability == plain.monitor.probability
+        assert serialize_monitor(current) == serialize_monitor(plain.monitor)
+
+    def test_packet_driven_split_shares_batch_duration(self):
+        """A batch crossing epoch boundaries hands each slice its packet
+        share of the batch duration."""
+        from repro.sketches import Monitor
+
+        calls = []
+
+        class Recorder(Monitor):
+            def update_batch(self, keys, weights=None, duration_seconds=None):
+                calls.append((len(keys), duration_seconds))
+
+            def reset(self):
+                pass
+
+        window = SlidingWindowMonitor(Recorder, window_epochs=2, epoch_packets=1000)
+        window.update_batch(np.arange(600), duration_seconds=0.006)
+        window.update_batch(np.arange(1500), duration_seconds=0.03)
+        assert calls[0] == (600, 0.006)
+        assert [count for count, _ in calls[1:]] == [400, 1000, 100]
+        assert [duration for _, duration in calls[1:]] == pytest.approx(
+            [0.008, 0.02, 0.002]
+        )
+        assert sum(duration for _, duration in calls[1:]) == pytest.approx(0.03)
+        assert window.epochs_rotated == 2
+
     def make_univmon(self):
         return UnivMon(levels=10, depth=5, widths=4096, k=300, seed=7)
 
