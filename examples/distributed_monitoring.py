@@ -23,9 +23,9 @@ from repro.core import NitroConfig, NitroSketch
 from repro.metrics import heavy_hitter_truth, recall
 from repro.sketches import CountSketch
 from repro.switchsim import MultiCoreSimulator, OVSDPDKPipeline
-from repro.telemetry import Telemetry, TelemetryServer
+from repro.telemetry import AlertManager, Telemetry, TelemetryServer
 from repro.telemetry.audit import GuaranteeMonitor, ShadowAuditor
-from repro.telemetry.health import HealthEvaluator, default_rules
+from repro.telemetry.health import health_rules
 from repro.traffic import caida_like
 
 CORES = 3
@@ -49,7 +49,7 @@ def main() -> None:
     # --- observability: auditor + health endpoint ------------------------
     telemetry = Telemetry()
     auditor = ShadowAuditor(capacity=256, seed=SEED, telemetry=telemetry)
-    health = HealthEvaluator(telemetry, default_rules(error_slo=5.0))
+    health = AlertManager(telemetry, health_rules(error_slo=5.0))
     server = TelemetryServer(telemetry, port=0, health=health).start()
     print(
         "telemetry: /metrics /snapshot /health on http://127.0.0.1:%d"
@@ -108,7 +108,7 @@ def main() -> None:
     guard = GuaranteeMonitor(auditor, merged, epsilon=0.5)
     guard.observe_batch(trace.keys)
     check = guard.check()
-    verdict = health.evaluate()
+    health.evaluate()
     print(
         "audit: %d tracked flows, observed max error %.0f vs %s bound %.0f "
         "(ratio %.3f), violations %d, health %s"
@@ -119,7 +119,7 @@ def main() -> None:
             check.bound,
             check.ratio,
             guard.violations,
-            verdict.status,
+            health.verdict(),
         )
     )
     server.close()

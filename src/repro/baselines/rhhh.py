@@ -67,8 +67,10 @@ class HierarchicalHeavyHitters(Monitor):
             level.update(prefix_of(address, length), weight)
             self.ops.packet(-1)  # inner MG counted the packet again
 
-    def query(self, address: int, prefix_length: int) -> float:
-        """Estimated traffic of one prefix."""
+    def query(self, address: int, prefix_length: Optional[int] = None) -> float:
+        """Estimated traffic of one prefix (default: the longest level)."""
+        if prefix_length is None:
+            prefix_length = self.prefix_lengths[-1]
         return self.levels[prefix_length].query(prefix_of(address, prefix_length))
 
     def heavy_prefixes(self, threshold_fraction: float) -> List[Tuple[int, int, float]]:
@@ -147,10 +149,9 @@ class RandomizedHHH(HierarchicalHeavyHitters):
         level.update(prefix_of(address, chosen), weight)
         self.ops.packet(-1)  # inner MG counted the packet again
 
-    def query(self, address: int, prefix_length: int) -> float:
+    def query(self, address: int, prefix_length: Optional[int] = None) -> float:
         """Estimate scaled by the level count (each level sees ~1/L of traffic)."""
-        raw = self.levels[prefix_length].query(prefix_of(address, prefix_length))
-        return raw * self.num_levels
+        return super().query(address, prefix_length) * self.num_levels
 
     def heavy_prefixes(self, threshold_fraction: float) -> List[Tuple[int, int, float]]:
         threshold = threshold_fraction * self.total

@@ -13,11 +13,11 @@ Subcommands:
   serve everything over HTTP (see docs/OBSERVABILITY.md);
 * ``audit`` -- run the demo pipeline with a live shadow auditor and
   guarantee monitor, serve and probe the ``/health`` endpoint, and exit
-  non-zero when the verdict disagrees with the expectation (the CI
-  audit-smoke job's entry point; ``--corrupt`` exercises the violation
-  path);
+  non-zero when the verdict or the alerts behind it disagree with the
+  expectation (the CI audit-smoke job's entry point; ``--corrupt``
+  exercises the violation path);
 * ``top`` -- live terminal dashboard (error vs bound, p, throughput,
-  per-stage timings, health) over a ``/snapshot`` URL or an in-process
+  per-stage timings, alerts) over a ``/snapshot`` URL or an in-process
   demo run;
 * ``chaos`` -- fault-injection harness: kill-mid-epoch, truncated and
   corrupted checkpoints, dropped exports, each followed by recovery and
@@ -255,14 +255,14 @@ def cmd_telemetry(args) -> int:
         print("wrote %d events to %s" % (count, args.trace_out), file=sys.stderr)
 
     if args.serve:
-        from repro.telemetry import TelemetryServer
-        from repro.telemetry.health import HealthEvaluator
+        from repro.telemetry import AlertManager, TelemetryServer
+        from repro.telemetry.health import health_rules
 
         server = TelemetryServer(
             telemetry,
             host=args.host,
             port=args.port,
-            health=HealthEvaluator(telemetry),
+            health=AlertManager(telemetry, health_rules()),
         )
         print(
             "serving /metrics /snapshot /trace /health on http://%s:%d "
@@ -278,9 +278,9 @@ def cmd_audit(args) -> int:
     import urllib.error
     import urllib.request
 
-    from repro.telemetry import Telemetry, TelemetryServer
+    from repro.telemetry import AlertManager, Telemetry, TelemetryServer
     from repro.telemetry.demo import run_audited_demo, validate_audit
-    from repro.telemetry.health import HealthEvaluator, default_rules
+    from repro.telemetry.health import health_rules
 
     telemetry = Telemetry()
     summary = run_audited_demo(
@@ -294,9 +294,9 @@ def cmd_audit(args) -> int:
     )
 
     problems = validate_audit(telemetry, expect_violation=args.corrupt)
-    evaluator = HealthEvaluator(telemetry, default_rules(error_slo=args.error_slo))
+    health = AlertManager(telemetry, health_rules(error_slo=args.error_slo))
     with TelemetryServer(
-        telemetry, host=args.host, port=args.port, health=evaluator
+        telemetry, host=args.host, port=args.port, health=health
     ).start() as server:
         url = "http://%s:%d/health" % (args.host, server.port)
         try:
@@ -321,6 +321,9 @@ def cmd_audit(args) -> int:
                 pass
     print(json.dumps(payload, indent=2, sort_keys=True))
 
+    # The verdict must name the alert behind it, not just the status.
+    firing = [alert for alert in payload["alerts"] if alert["state"] == "firing"]
+    critical = [alert["alert"] for alert in firing if alert["severity"] == "critical"]
     if args.corrupt:
         if not summary["violated"]:
             problems.append("corrupted sketch did not violate the bound")
@@ -328,6 +331,11 @@ def cmd_audit(args) -> int:
             problems.append(
                 "/health on the corrupted run returned %s (HTTP %d), expected "
                 "fail (HTTP 503)" % (payload["status"], http_status)
+            )
+        if "guarantee_violation" not in critical:
+            problems.append(
+                "/health on the corrupted run does not list guarantee_violation "
+                "as firing (critical firing: %s)" % (", ".join(critical) or "none")
             )
     else:
         if summary["violated"]:
@@ -337,12 +345,22 @@ def cmd_audit(args) -> int:
                 "/health on the clean run returned %s (HTTP %d), expected "
                 "ok/warn (HTTP 200)" % (payload["status"], http_status)
             )
+        if critical:
+            problems.append(
+                "/health on the clean run has critical alert(s) firing: %s"
+                % ", ".join(critical)
+            )
     for problem in problems:
         print("audit: %s" % problem, file=sys.stderr)
     if not problems:
         print(
-            "audit: %s path verified (/health %d, status %s)"
-            % ("violation" if args.corrupt else "clean", http_status, payload["status"]),
+            "audit: %s path verified (/health %d, status %s, firing: %s)"
+            % (
+                "violation" if args.corrupt else "clean",
+                http_status,
+                payload["status"],
+                ", ".join(alert["alert"] for alert in firing) or "none",
+            ),
             file=sys.stderr,
         )
     return 1 if problems else 0
@@ -354,9 +372,9 @@ def cmd_alerts(args) -> int:
     import urllib.error
     import urllib.request
 
-    from repro.telemetry import Telemetry, TelemetryServer, WebhookReceiver
+    from repro.telemetry import AlertManager, Telemetry, TelemetryServer, WebhookReceiver
     from repro.telemetry.demo import run_alert_demo, validate_alert_demo
-    from repro.telemetry.health import HealthEvaluator
+    from repro.telemetry.health import health_rules
 
     if not (args.demo or args.eval or args.serve):
         print(
@@ -366,20 +384,19 @@ def cmd_alerts(args) -> int:
         return 2
 
     telemetry = Telemetry()
-    evaluator = HealthEvaluator(telemetry)
+    health = AlertManager(telemetry, health_rules())
     server = TelemetryServer(
-        telemetry, host=args.host, port=args.port, health=evaluator
+        telemetry, host=args.host, port=args.port, health=health
     ).start()
     problems = []
     probe = {}
 
     def on_ready(objects):
         # Attach the live alert plane to the already-running server so
-        # /alerts, /rules, /history, and /health reflect the run as it
-        # happens -- and so the firing-instant probe below sees it.
+        # /alerts, /rules and /history reflect the run as it happens --
+        # and so the firing-instant probe below sees it.
         server.alerts = objects["manager"]
         server.history = objects["history"]
-        evaluator.alerts = objects["manager"]
 
     def on_transition(event):
         if event["alert"] != "entropy_collapse" or event["to"] != "firing":
@@ -499,15 +516,13 @@ def cmd_top(args) -> int:
     if args.url is not None:
         source = SnapshotSource(url=args.url)
     else:
-        from repro.telemetry import Telemetry
+        from repro.telemetry import AlertManager, Telemetry
         from repro.telemetry.demo import run_audited_demo
-        from repro.telemetry.health import HealthEvaluator
-
-        from repro.telemetry.health import default_rules
+        from repro.telemetry.health import health_rules
 
         telemetry = Telemetry()
         run_audited_demo(telemetry, packets=args.packets, seed=args.seed)
-        HealthEvaluator(telemetry, default_rules(error_slo=args.error_slo)).evaluate()
+        AlertManager(telemetry, health_rules(error_slo=args.error_slo)).evaluate()
         source = SnapshotSource(telemetry=telemetry)
     loop = TopLoop(
         source,
@@ -747,14 +762,14 @@ def cmd_profile(args) -> int:
         print("collapsed stacks (flamegraph.pl / speedscope):")
         print(stacks, end="")
     if args.serve:
-        from repro.telemetry import TelemetryServer
-        from repro.telemetry.health import HealthEvaluator
+        from repro.telemetry import AlertManager, TelemetryServer
+        from repro.telemetry.health import health_rules
 
         server = TelemetryServer(
             telemetry,
             host=args.host,
             port=args.port,
-            health=HealthEvaluator(telemetry),
+            health=AlertManager(telemetry, health_rules()),
             history=history,
         ).start()
         print(

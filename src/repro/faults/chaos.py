@@ -56,6 +56,7 @@ from repro.faults.inject import LossyChannel, corrupt_file, truncate_file
 from repro.sketches.countsketch import CountSketch
 from repro.switchsim.daemon import MeasurementDaemon
 from repro.telemetry import Telemetry
+from repro.telemetry.alerts import metric_value
 from repro.telemetry.audit import GuaranteeMonitor, ShadowAuditor
 from repro.traffic.replay import Replayer
 from repro.traffic.traces import caida_like
@@ -256,9 +257,7 @@ class ChaosRunner:
             )
         if serialize_monitor(restored.monitor) != good_blob:
             return ChaosResult(name, False, "fallback checkpoint not byte-exact")
-        from repro.telemetry.health import sample_value
-
-        failures = sample_value(
+        failures = metric_value(
             telemetry.snapshot(), "checkpoint_restore_failures_total"
         ) or 0
         return ChaosResult(

@@ -38,9 +38,9 @@ from typing import Dict, List, Optional
 from repro.service import records
 from repro.service.query import QueryRoutes
 from repro.service.tenants import ServiceConfig, TenantManager, TenantState
-from repro.telemetry import NULL_TELEMETRY, TelemetryServer
+from repro.telemetry import NULL_TELEMETRY, AlertManager, TelemetryServer
 from repro.telemetry.fanin import record_service_state
-from repro.telemetry.health import HealthEvaluator, QueueSaturationRule, default_rules
+from repro.telemetry.health import health_rules
 
 #: How many queued batches one drainer visit ingests per tenant before
 #: yielding -- bounds per-tenant latency under multi-tenant load.
@@ -90,11 +90,7 @@ class MonitoringService:
         self.history = history
         self.tenants = TenantManager(self.config, telemetry=telemetry)
         self.routes = QueryRoutes(self)
-        self.health = HealthEvaluator(
-            telemetry,
-            rules=list(default_rules(component="svc")) + [QueueSaturationRule()],
-            alerts=alerts,
-        )
+        self.health = AlertManager(telemetry, health_rules())
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None

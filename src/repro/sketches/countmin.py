@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.sketches.base import CanonicalSketch
+from repro.sketches.base import CanonicalSketch, Monitor
 
 
 class CountMinSketch(CanonicalSketch):
@@ -69,3 +69,18 @@ class ConservativeCountMinSketch(CountMinSketch):
             if self.counters[row, bucket] < target:
                 self.counters[row, bucket] = target
                 self.ops.counter_update()
+
+    def update_batch(
+        self,
+        keys: "np.ndarray",
+        weights: Optional["np.ndarray"] = None,
+        count_packets: bool = True,
+        duration_seconds: Optional[float] = None,
+    ) -> None:
+        """Feed :meth:`update` key by key: conservative update is sequential.
+
+        The fused scatter-add would run plain Count-Min.  Nothing passes
+        ``count_packets=False`` (NitroSketch cannot wrap this sketch), so
+        every key is billed as a packet.
+        """
+        Monitor.update_batch(self, keys, weights)

@@ -65,15 +65,16 @@ class MeasurementDaemon:
         Opt-in bounded ingest queue modelling the separate-thread FIFO:
         :meth:`enqueue` parks batches, :meth:`drain` feeds them to the
         monitor, and the backlog is exported as a ``daemon_queue_depth``
-        gauge for the ``queue_depth`` health rule.  ``0`` (default)
-        means no queue; :meth:`ingest` stays synchronous either way.
+        gauge for the ``queue_depth`` / ``queue_backlog`` health
+        alerts.  ``0`` (default) means no queue; :meth:`ingest` stays
+        synchronous either way.
     checkpoints:
         Optional :class:`~repro.control.checkpoint.CheckpointManager`.
         With ``checkpoint_interval > 0`` the daemon checkpoints its
         monitor every that many ingested batches, after the batch's
         epoch step; the distance to the last checkpoint is exported as
-        ``daemon_checkpoint_age_batches`` for the
-        ``checkpoint_staleness`` health rule.  A checkpoint carries the
+        ``daemon_checkpoint_age_batches`` for the ``checkpoint_age`` /
+        ``checkpoint_stale`` health alerts.  A checkpoint carries the
         epoch cadence (epochs completed, batches and packets since the
         last boundary), so :meth:`restore_latest` resumes it.
     anomaly / alerts / epoch_batches:

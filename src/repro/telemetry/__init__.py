@@ -17,8 +17,9 @@ post-hoc :class:`~repro.metrics.opcount.OpCounter` totals:
   and the Theorem 1/2/5 guarantee tracker
   (:class:`~repro.telemetry.audit.GuaranteeMonitor`).  Imported lazily
   (it needs NumPy);
-* :mod:`repro.telemetry.health` -- a rule engine over metric snapshots
-  (:class:`HealthEvaluator`) feeding the server's ``/health`` route;
+* :mod:`repro.telemetry.health` -- the stock health rule set
+  (:func:`~repro.telemetry.health.health_rules`); an
+  :class:`AlertManager` over it answers the server's ``/health`` route;
 * :mod:`repro.telemetry.dashboard` -- the ``nitrosketch top`` live
   terminal dashboard;
 * :mod:`repro.telemetry.spans` -- cross-process distributed-tracing
@@ -142,7 +143,6 @@ METRIC_HELP: Dict[str, str] = {
     "audit_guarantee_violations_total": "Guarantee-bound violations detected.",
     "audit_guarantee_violations": "Cumulative violations (gauge; 0 = checked and clean).",
     "daemon_queue_depth": "Batches waiting in the measurement daemon's ingest queue.",
-    "health_status": "Health rule verdicts: 0 = ok, 1 = warn, 2 = fail.",
     "checkpoint_writes_total": "Monitor checkpoints written to disk.",
     "checkpoint_bytes_total": "Cumulative checkpoint bytes written.",
     "checkpoint_restores_total": "Successful checkpoint restores.",

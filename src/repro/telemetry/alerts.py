@@ -1,8 +1,8 @@
 """The alert plane: declarative rules over live telemetry.
 
-PRs 2-7 built recording -- metrics, traces, audits, health verdicts,
-history.  This module closes the loop by *deciding*: a set of
-:class:`AlertRule` objects is evaluated against snapshots (and, through
+PRs 2-7 built recording -- metrics, traces, audits, history.  This
+module closes the loop by *deciding*: a set of :class:`AlertRule`
+objects is evaluated against snapshots (and, through
 :class:`~repro.telemetry.history.HistoryStore` windows, against recent
 history), and a per-``(alert, labelset)`` state machine turns raw
 conditions into operator-grade alerts:
@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.exposition import snapshot as snapshot_of
+from repro.telemetry.exposition import _json_value, snapshot as snapshot_of
 from repro.telemetry.notify import Notification, NotificationSink
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "ThresholdRule",
     "labelset_key",
     "metric_samples",
+    "metric_value",
 ]
 
 #: Every state the per-labelset machine can be in, in display order.
@@ -114,9 +115,10 @@ def metric_samples(
 ) -> List[Tuple[Dict[str, str], float]]:
     """Every scalar sample of one family, as ``(labels, value)`` pairs.
 
-    Unlike :func:`repro.telemetry.health.sample_value` this does *not*
-    aggregate: threshold rules alert per labelset (one alert per worker,
-    per daemon, ...).  ``labels`` filters by subset match.
+    The one reader of snapshot samples: threshold rules alert per
+    labelset (one alert per worker, per daemon, ...), and
+    :func:`metric_value` sums the same pairs.  ``labels`` filters by
+    subset match; histogram samples carry no ``value`` and are skipped.
     """
     family = snap.get("metrics", {}).get(metric)
     if family is None:
@@ -128,12 +130,20 @@ def metric_samples(
         if not all(sample_labels.get(k) == v for k, v in wanted.items()):
             continue
         value = sample.get("value")
-        if isinstance(value, str):  # non-finite encoded for JSON
-            value = float(value.replace("+Inf", "inf").replace("-Inf", "-inf"))
         if value is None:  # histogram sample; not a scalar
             continue
+        # float() also decodes the "+Inf" / "-Inf" / "NaN" strings that
+        # JSON snapshots carry for non-finite values.
         out.append((dict(sample_labels), float(value)))
     return out
+
+
+def metric_value(
+    snap: Dict, metric: str, labels: Optional[Dict[str, str]] = None
+) -> Optional[float]:
+    """The sum of the matching scalar samples, or ``None`` if none match."""
+    samples = metric_samples(snap, metric, labels)
+    return sum(value for _, value in samples) if samples else None
 
 
 @dataclass
@@ -372,7 +382,8 @@ class AlertStatus:
             "state": self.state,
             "since": self.since,
             "active_since": self.active_since,
-            "value": self.value,
+            # A violated bound reads ratio inf: keep the routes strict JSON.
+            "value": None if self.value is None else _json_value(self.value),
             "detail": self.detail,
         }
 
@@ -646,83 +657,6 @@ class AlertManager:
             sink.notify(notification)
         state.last_notified = now
 
-    # -- externally-driven alerts (the health bridge) -----------------------
-
-    def set_state(
-        self,
-        name: str,
-        target: str,
-        severity: str = "warning",
-        labels: Optional[Dict[str, str]] = None,
-        value: Optional[float] = None,
-        detail: str = "",
-        now: Optional[float] = None,
-    ) -> List[Dict]:
-        """Drive one alert to a target level from outside the rule set.
-
-        ``target`` is ``inactive`` / ``pending`` / ``firing``.  Used by
-        :meth:`observe_health`, where another evaluator (the PR-3
-        :class:`~repro.telemetry.health.HealthEvaluator`) already made
-        the ok/warn/fail decision: ``fail`` maps to firing *immediately*
-        so ``/health``'s 503 and the firing alert can never disagree,
-        ``warn`` parks the alert in pending, ``ok`` stands it down
-        (firing resolves, pending deactivates).
-        """
-        if target not in ("inactive", "pending", "firing"):
-            raise ValueError("target must be inactive/pending/firing, got %r" % target)
-        now = self.clock() if now is None else float(now)
-        state = self._state_for(name, labels or {}, severity)
-        if value is not None:
-            state.value = value
-        if detail:
-            state.detail = detail
-        events: List[Dict] = []
-        current = state.state
-        if target == "firing":
-            if current != "firing":
-                state.active_since = now
-                events.extend(self._transition(state, "firing", now, notify=True))
-        elif target == "pending":
-            if current == "firing":
-                # The condition eased below fail: resolve the firing
-                # alert first, then hold it pending -- both steps in one
-                # call so the health/alert invariant holds immediately.
-                events.extend(self._transition(state, "resolved", now, notify=True))
-            if state.state in ("inactive", "resolved"):
-                state.active_since = now
-                events.extend(self._transition(state, "pending", now, notify=False))
-        else:  # inactive
-            state.active_since = None
-            if current == "firing":
-                events.extend(self._transition(state, "resolved", now, notify=True))
-            elif current == "pending":
-                events.extend(self._transition(state, "inactive", now, notify=False))
-        self._export()
-        return events
-
-    def observe_health(self, results, now: Optional[float] = None) -> List[Dict]:
-        """Mirror :class:`HealthEvaluator` rule results into alerts.
-
-        Each health rule becomes a ``health_<rule>`` alert so the two
-        subsystems share one state, one exposition and one notification
-        path (satellite: ``/health`` 503 ⇔ a firing ``health_*`` alert).
-        """
-        now = self.clock() if now is None else float(now)
-        target_of = {"ok": "inactive", "warn": "pending", "fail": "firing"}
-        events: List[Dict] = []
-        for result in results:
-            events.extend(
-                self.set_state(
-                    "health_" + result.name,
-                    target_of.get(result.status, "firing"),
-                    severity="critical",
-                    value=result.value,
-                    detail=result.detail,
-                    now=now,
-                )
-            )
-        return events
-
     # -- export / introspection ---------------------------------------------
 
     def _export(self) -> None:
@@ -754,6 +688,20 @@ class AlertManager:
 
     def firing(self) -> List[AlertStatus]:
         return [state for state in self.states() if state.state == "firing"]
+
+    def verdict(self) -> str:
+        """The ``/health`` verdict over the current states.
+
+        ``fail`` while a critical alert fires, ``warn`` while any other
+        alert is pending or firing, ``ok`` otherwise.
+        """
+        verdict = "ok"
+        for state in self._states.values():
+            if state.state == "firing" and state.severity == "critical":
+                return "fail"
+            if state.state in ("pending", "firing"):
+                verdict = "warn"
+        return verdict
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able dump for the ``/alerts`` route."""

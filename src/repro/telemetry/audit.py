@@ -265,7 +265,8 @@ class ShadowAuditor:
         previous_ops = monitor.ops
         monitor.ops = NULL_OPS
         try:
-            estimates = monitor.query_batch(np.asarray(keys, dtype=np.int64))
+            # Let numpy pick the dtype: uint64 keys >= 2**63 overflow int64.
+            estimates = monitor.query_batch(np.asarray(keys))
             return [float(value) for value in estimates]
         finally:
             monitor.ops = previous_ops

@@ -5,7 +5,7 @@ object in-process, or over HTTP from a ``TelemetryServer``'s
 ``/snapshot`` route -- and renders the operational state the paper's
 story turns on: observed error vs the theoretical bound, the sampling
 probability, ingest throughput (derived from counter deltas between
-polls), per-stage pipeline span timings, and the health rule verdicts.
+polls), per-stage pipeline span timings, and the active alerts.
 
 The renderer is a pure function (``snapshot [+ previous snapshot] ->
 string``) so the frame content is unit-testable without a terminal; the
@@ -19,35 +19,20 @@ import time
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
+from repro.telemetry.alerts import metric_samples, metric_value
+
 _CLEAR = "\x1b[2J\x1b[H"
 
-#: health status value -> display word.
-_STATUS_WORDS = {0: "ok", 1: "WARN", 2: "FAIL"}
 
+def _histograms(snap: Dict, metric: str) -> List[Tuple[Dict[str, str], Dict]]:
+    """A histogram family's raw samples, for their ``sum`` and ``count``.
 
-def _to_float(value) -> float:
-    """Sample value -> float (non-finite values arrive JSON-encoded as
-    ``"+Inf"`` / ``"-Inf"`` / ``"NaN"`` strings)."""
-    if isinstance(value, str):
-        return float(value.replace("+Inf", "inf").replace("-Inf", "-inf"))
-    return float(value)
-
-
-def _samples(snap: Dict, metric: str) -> List[Tuple[Dict[str, str], Dict]]:
+    Scalar samples go through :func:`~repro.telemetry.alerts.metric_samples`.
+    """
     family = snap.get("metrics", {}).get(metric)
     if not family:
         return []
     return [(sample.get("labels", {}), sample) for sample in family["samples"]]
-
-
-def _value(snap: Dict, metric: str, **labels) -> Optional[float]:
-    """Sum of matching scalar samples (subset label match), or None."""
-    total, matched = 0.0, False
-    for sample_labels, sample in _samples(snap, metric):
-        if all(sample_labels.get(k) == v for k, v in labels.items()) and "value" in sample:
-            total += _to_float(sample["value"])
-            matched = True
-    return total if matched else None
 
 
 def _format_count(value: float) -> str:
@@ -85,23 +70,23 @@ def render_dashboard(
     """
     lines: List[str] = []
     stamp = time.strftime("%H:%M:%S", time.localtime(clock))
-    probability = _value(snap, "nitro_sampling_probability")
+    probability = metric_value(snap, "nitro_sampling_probability")
     header = "nitrosketch top — %s" % stamp
     if probability is not None:
         header += "   p=%.6g" % probability
-    converged = _value(snap, "nitro_convergence_total")
+    converged = metric_value(snap, "nitro_convergence_total")
     if converged is not None:
         header += "   converged=%s" % ("yes" if converged > 0 else "no")
     lines.append(header)
     lines.append("=" * max(len(header), 64))
 
     # -- accuracy: observed error vs the live theoretical bound ----------
-    mean_err = _value(snap, "audit_relative_error", stat="mean")
-    p99_err = _value(snap, "audit_relative_error", stat="p99")
-    bound = _value(snap, "audit_error_bound")
-    ratio = _value(snap, "audit_bound_ratio")
-    violations = _value(snap, "audit_guarantee_violations")
-    tracked = _value(snap, "audit_tracked_flows")
+    mean_err = metric_value(snap, "audit_relative_error", {"stat": "mean"})
+    p99_err = metric_value(snap, "audit_relative_error", {"stat": "p99"})
+    bound = metric_value(snap, "audit_error_bound")
+    ratio = metric_value(snap, "audit_bound_ratio")
+    violations = metric_value(snap, "audit_guarantee_violations")
+    tracked = metric_value(snap, "audit_tracked_flows")
     if mean_err is None and bound is None:
         lines.append("accuracy    (no auditor attached)")
     else:
@@ -132,11 +117,11 @@ def render_dashboard(
         ("daemon_packets_total", "daemon pkts"),
         ("pipeline_batches_total", "batches"),
     ):
-        now_total = _value(snap, metric)
+        now_total = metric_value(snap, metric)
         if now_total is None:
             continue
         if previous is not None and interval_seconds and interval_seconds > 0:
-            before = _value(previous, metric) or 0.0
+            before = metric_value(previous, metric) or 0.0
             rate = max(now_total - before, 0.0) / interval_seconds
             lines.append(
                 "throughput  %-12s %s/s  (total %s)"
@@ -149,10 +134,10 @@ def render_dashboard(
 
     # -- per-stage span timings ------------------------------------------
     stages = []
-    for labels, sample in _samples(snap, "pipeline_stage_seconds"):
+    for labels, sample in _histograms(snap, "pipeline_stage_seconds"):
         count = sample.get("count", 0)
         if count:
-            mean = _to_float(sample.get("sum", 0.0)) / count
+            mean = float(sample.get("sum", 0.0)) / count
             stages.append((labels.get("platform", "?"), labels.get("stage", "?"), mean, count))
     if stages:
         stages.sort(key=lambda item: -item[2])
@@ -166,15 +151,17 @@ def render_dashboard(
     worker_rows: Dict[str, Dict[str, float]] = {}
 
     def _per_worker(metric: str, key: str, from_histogram: bool = False) -> None:
-        for labels, sample in _samples(snap, metric):
+        if from_histogram:
+            pairs = [
+                (labels, float(sample.get("sum", 0.0)))
+                for labels, sample in _histograms(snap, metric)
+            ]
+        else:
+            pairs = metric_samples(snap, metric)
+        for labels, value in pairs:
             worker = labels.get("worker")
-            if worker is None:
-                continue
-            row = worker_rows.setdefault(worker, {})
-            if from_histogram:
-                row[key] = _to_float(sample.get("sum", 0.0))
-            elif "value" in sample:
-                row[key] = _to_float(sample["value"])
+            if worker is not None:
+                worker_rows.setdefault(worker, {})[key] = value
 
     _per_worker("parallel_worker_packets_total", "packets")
     _per_worker("parallel_worker_cpu_mpps", "cpu_mpps")
@@ -186,7 +173,7 @@ def render_dashboard(
         "parallel_mailbox_publish_wait_seconds", "wait", from_histogram=True
     )
     if worker_rows:
-        host_cpus = _value(snap, "parallel_host_cpus")
+        host_cpus = metric_value(snap, "parallel_host_cpus")
         lines.append(
             "workers     (%d shard%s%s)"
             % (
@@ -212,11 +199,11 @@ def render_dashboard(
             )
 
     # -- tenants panel (always-on monitoring service) --------------------
-    tenants_active = _value(snap, "service_tenants_active")
+    tenants_active = metric_value(snap, "service_tenants_active")
     if tenants_active is not None:
-        connections = _value(snap, "service_connections_active")
-        memory = _value(snap, "service_memory_bytes")
-        evicted = _value(snap, "service_tenants_evicted_total")
+        connections = metric_value(snap, "service_connections_active")
+        memory = metric_value(snap, "service_memory_bytes")
+        evicted = metric_value(snap, "service_tenants_evicted_total")
         lines.append(
             "tenants     %d resident  %s conn  %s  evicted %s"
             % (
@@ -229,12 +216,10 @@ def render_dashboard(
         tenant_rows: Dict[str, Dict[str, float]] = {}
 
         def _per_tenant(metric: str, key: str) -> None:
-            for labels, sample in _samples(snap, metric):
+            for labels, value in metric_samples(snap, metric):
                 tenant = labels.get("tenant")
-                if tenant is not None and "value" in sample:
-                    tenant_rows.setdefault(tenant, {})[key] = _to_float(
-                        sample["value"]
-                    )
+                if tenant is not None:
+                    tenant_rows.setdefault(tenant, {})[key] = value
 
         _per_tenant("service_ingest_packets_total", "packets")
         _per_tenant("service_queue_depth", "queue")
@@ -256,11 +241,11 @@ def render_dashboard(
             )
 
     # -- sliding window (window_* gauges from export_window_metrics) -----
-    window_packets = _value(snap, "window_packets")
+    window_packets = metric_value(snap, "window_packets")
     if window_packets is not None:
-        spanned = _value(snap, "window_epochs_spanned")
-        rotated = _value(snap, "window_epochs_rotated")
-        memory = _value(snap, "window_memory_bytes")
+        spanned = metric_value(snap, "window_epochs_spanned")
+        rotated = metric_value(snap, "window_epochs_rotated")
+        memory = metric_value(snap, "window_memory_bytes")
         lines.append(
             "window      %s pkts over %s epoch sketch%s  (rotated %s, %s)"
             % (
@@ -271,8 +256,8 @@ def render_dashboard(
                 "-" if memory is None else _format_count(memory) + "B",
             )
         )
-        hitters = _value(snap, "window_heavy_hitters")
-        entropy = _value(snap, "window_entropy_bits")
+        hitters = metric_value(snap, "window_heavy_hitters")
+        entropy = metric_value(snap, "window_entropy_bits")
         if hitters is not None or entropy is not None:
             lines.append(
                 "            heavy hitters %s   entropy %s"
@@ -285,9 +270,10 @@ def render_dashboard(
     # -- active alerts (the alert plane's ALERTS gauge family) -----------
     alert_rows: List[Tuple[int, str, str, str, str]] = []
     _ALERT_ORDER = {"firing": 0, "pending": 1, "resolved": 2}
-    for labels, sample in _samples(snap, "ALERTS"):
+    alert_samples = metric_samples(snap, "ALERTS")
+    for labels, value in alert_samples:
         state = labels.get("alertstate", "")
-        if state not in _ALERT_ORDER or _to_float(sample.get("value", 0)) < 1:
+        if state not in _ALERT_ORDER or value < 1:
             continue
         alert_rows.append(
             (
@@ -298,7 +284,7 @@ def render_dashboard(
                 labels.get("labelset", ""),
             )
         )
-    if _samples(snap, "ALERTS"):
+    if alert_samples:
         if alert_rows:
             alert_rows.sort()
             firing = sum(1 for row in alert_rows if row[2] == "firing")
@@ -317,18 +303,6 @@ def render_dashboard(
                 )
         else:
             lines.append("alerts      none active")
-
-    # -- health rule verdicts --------------------------------------------
-    verdicts = []
-    overall = None
-    for labels, sample in _samples(snap, "health_status"):
-        word = _STATUS_WORDS.get(int(_to_float(sample.get("value", 0))), "?")
-        if labels.get("rule") == "overall":
-            overall = word
-        else:
-            verdicts.append("%s %s" % (labels.get("rule", "?"), word))
-    if overall is not None:
-        lines.append("health      %s   (%s)" % (overall, ", ".join(sorted(verdicts))))
 
     return "\n".join(lines) + "\n"
 

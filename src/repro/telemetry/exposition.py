@@ -14,9 +14,9 @@ Three ways out of the registry/tracer:
   ``/spans`` (span JSONL), ``/history`` (the attached
   :class:`~repro.telemetry.history.HistoryStore` as JSON, filterable
   with ``?metric=name``), ``/alerts`` + ``/rules`` (when an
-  :class:`~repro.telemetry.alerts.AlertManager` is attached) and --
-  when a :class:`~repro.telemetry.health.HealthEvaluator` is attached
-  -- ``/health`` (rule-by-rule status JSON, 503 on failure).  No
+  :class:`~repro.telemetry.alerts.AlertManager` is attached) and
+  ``/health`` (when a manager over the stock health rules is attached:
+  its verdict and active alerts as JSON, 503 on failure).  No
   third-party dependency: the point is that any Prometheus scraper or
   ``curl`` can watch a live run.
 
@@ -190,10 +190,12 @@ def render_json(registry: MetricsRegistry, tracer: Optional[Tracer] = None, inde
 class TelemetryServer:
     """Serves a live telemetry object over HTTP from a daemon thread.
 
-    Pass a :class:`~repro.telemetry.health.HealthEvaluator` as
-    ``health`` to additionally serve ``/health``: rule-by-rule status
-    JSON, HTTP 200 while the verdict is ``ok``/``warn`` and 503 on
-    ``fail`` so probes and load balancers get the conventional signal.
+    Pass an :class:`~repro.telemetry.alerts.AlertManager` as ``health``
+    (canonically over :func:`repro.telemetry.health.health_rules`) to
+    additionally serve ``/health``: each request runs one evaluation and
+    answers the manager's verdict with its active alerts as JSON, HTTP
+    200 while the verdict is ``ok``/``warn`` and 503 on ``fail`` so
+    probes and load balancers get the conventional signal.
     Pass a :class:`~repro.telemetry.history.HistoryStore` as ``history``
     to serve ``/history`` (optionally filtered with ``?metric=name``).
     Pass an :class:`~repro.telemetry.alerts.AlertManager` as ``alerts``
@@ -222,6 +224,8 @@ class TelemetryServer:
         self.history = history
         self.alerts = alerts
         self.routes = routes
+        # Request threads share the health manager's state machine.
+        self._health_lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -260,10 +264,18 @@ class TelemetryServer:
                     ) + "\n"
                     self._reply(200, "application/json", body)
                 elif path == "/health" and outer.health is not None:
-                    report = outer.health.evaluate()
-                    status = 503 if report.status == "fail" else 200
-                    body = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-                    self._reply(status, "application/json", body)
+                    with outer._health_lock:
+                        outer.health.evaluate()
+                        verdict = outer.health.verdict()
+                        report = {
+                            "status": verdict,
+                            "evaluations": outer.health.evaluations,
+                            "alerts": [s.as_dict() for s in outer.health.active()],
+                        }
+                    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
+                    self._reply(
+                        503 if verdict == "fail" else 200, "application/json", body
+                    )
                 else:
                     handled = None
                     if outer.routes is not None:

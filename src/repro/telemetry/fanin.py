@@ -16,7 +16,7 @@ def record_parallel_run(telemetry, result) -> None:
     Emits per-worker counters/gauges (labeled ``worker=<id>``), the
     aggregate measured rates, and one ``parallel.run`` event carrying
     the run's shape -- enough for the dashboard to show per-queue skew
-    and for health rules to watch restart counts.
+    and for alert rules to watch restart counts.
     """
     telemetry.gauge("parallel_workers", result.workers)
     telemetry.gauge("parallel_host_cpus", result.host_cpus)

@@ -26,7 +26,7 @@ import numpy as np
 from repro.control.export import deserialize_monitor, serialize_monitor
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.nitro import NitroSketch
-from repro.sketches.countmin import CountMinSketch
+from repro.sketches.countmin import ConservativeCountMinSketch, CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kary import KArySketch
 from repro.traffic.traces import Trace, caida_like
@@ -64,13 +64,16 @@ def check_vanilla_scalar_vs_batch(
 ) -> CheckResult:
     """Scalar ``update`` and fused ``update_batch`` must be bit-exact.
 
-    Runs every canonical sketch family unless ``sketch_factory`` (used by
+    Runs every canonical sketch family plus conservative Count-Min (whose
+    batch path must stay conservative) unless ``sketch_factory`` (used by
     the deliberately-broken-sketch tests) narrows it to one.
     """
     name = "differential.vanilla_scalar_vs_batch"
     trace = _default_trace(packets, seed)
     factories = (
-        [sketch_factory] if sketch_factory is not None else _VANILLA_FAMILIES
+        [sketch_factory]
+        if sketch_factory is not None
+        else _VANILLA_FAMILIES + [lambda s: ConservativeCountMinSketch(4, 512, s)]
     )
     for factory in factories:
         scalar = factory(seed)

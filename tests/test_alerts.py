@@ -4,8 +4,8 @@ Covers :class:`HistoryStore.window` (including post-compaction reads),
 the threshold / for-duration / hysteresis state machine against a golden
 transition log, the multi-window burn-rate rule, repeat-interval dedup,
 notification sinks (including real-HTTP webhook delivery and failure
-accounting), ``ALERTS`` exposition conformance, the health/alert
-unification invariant (503 ⇔ firing), the sketch-driven DDoS scenario
+accounting), ``ALERTS`` exposition conformance, the ``/health``
+verdict (503 ⇔ a firing critical alert), the sketch-driven DDoS scenario
 (fires then resolves, deterministically), and the daemon / dashboard /
 CLI wiring.
 """
@@ -42,7 +42,7 @@ from repro.telemetry import (
 from repro.telemetry.anomaly import SketchAnomalyDetectors, ddos_onset_trace
 from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.demo import run_alert_demo, validate_alert_demo
-from repro.telemetry.health import HealthEvaluator, default_rules
+from repro.telemetry.health import health_rules
 from repro.traffic import caida_like
 from repro.traffic.replay import Batch
 
@@ -576,25 +576,39 @@ class TestExpositionConformance:
 
 
 class TestHealthUnification:
+    """``/health`` is an ordinary alert manager over the stock rules."""
+
     def test_fail_means_503_and_firing_alert(self):
         telemetry = Telemetry()
+        sink = MemorySink()
         manager = AlertManager(
-            telemetry, rules=[], repeat_interval=0.0, clock=ManualClock()
+            telemetry,
+            health_rules(),
+            sinks=[sink],
+            repeat_interval=0.0,
+            clock=ManualClock(),
         )
-        evaluator = HealthEvaluator(telemetry, default_rules(), alerts=manager)
-        telemetry.gauge("daemon_queue_depth", 100.0)  # >= fail_depth 64
-        with TelemetryServer(telemetry, port=0, health=evaluator).start() as server:
+        telemetry.gauge("daemon_queue_depth", 100.0)  # >= QUEUE_DEPTH_FAIL
+        with TelemetryServer(telemetry, port=0, health=manager).start() as server:
             url = "http://127.0.0.1:%d/health" % server.port
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url)
             assert excinfo.value.code == 503
             payload = json.loads(excinfo.value.read().decode())
             assert payload["status"] == "fail"
-            # The 503 and the firing alert can never disagree.
-            assert [s.name for s in manager.firing()] == ["health_queue_depth"]
+            # The 503 and the firing critical alert are one state.
+            firing = [(s.name, s.severity) for s in manager.firing()]
+            assert firing == [("queue_backlog", "critical"), ("queue_depth", "warning")]
+            assert [a["alert"] for a in payload["alerts"]] == [
+                "queue_backlog",
+                "queue_depth",
+            ]
+            assert ("queue_backlog", "firing") in [
+                (n.alert, n.state) for n in sink.notifications
+            ]
 
             # Recovery: the queue drains, /health goes 200, the firing
-            # alert resolves in the same evaluation.
+            # alerts resolve in the same evaluation.
             telemetry.gauge("daemon_queue_depth", 0.0)
             with urllib.request.urlopen(url) as response:
                 assert response.status == 200
@@ -602,36 +616,41 @@ class TestHealthUnification:
             moves = [
                 (e["alert"], e["from"], e["to"]) for e in manager.transitions
             ]
-            assert ("health_queue_depth", "firing", "resolved") in moves
+            assert ("queue_backlog", "firing", "resolved") in moves
 
     def test_warn_parks_alert_in_pending(self):
+        """A critical alert still inside its for-duration reads warn."""
         telemetry = Telemetry()
-        manager = AlertManager(telemetry, rules=[], clock=ManualClock())
-        evaluator = HealthEvaluator(telemetry, default_rules(), alerts=manager)
-        telemetry.gauge("daemon_queue_depth", 20.0)  # warn band [16, 64)
-        report = evaluator.evaluate()
-        assert report.status == "warn"
-        states = {s.name: s.state for s in manager.active()}
-        assert states["health_queue_depth"] == "pending"
+        manager = AlertManager(
+            telemetry,
+            [ThresholdRule("hot", "signal", 1.0, for_seconds=2.0, severity="critical")],
+            clock=ManualClock(),
+        )
+        telemetry.gauge("signal", 5.0)
+        manager.evaluate()  # t=0: pending
+        assert [s.state for s in manager.active()] == ["pending"]
+        assert manager.verdict() == "warn"
+        manager.evaluate()  # t=1: still pending
+        assert manager.verdict() == "warn"
+        manager.evaluate()  # t=2: held for 2 s, fires
+        assert manager.verdict() == "fail"
 
-    def test_fail_then_warn_resolves_before_pending(self):
+    def test_fail_then_warn_resolves_the_critical_alert(self):
         telemetry = Telemetry()
-        manager = AlertManager(telemetry, rules=[], clock=ManualClock())
-        evaluator = HealthEvaluator(telemetry, default_rules(), alerts=manager)
+        manager = AlertManager(telemetry, health_rules(), clock=ManualClock())
         telemetry.gauge("daemon_queue_depth", 100.0)
-        evaluator.evaluate()
+        manager.evaluate()
+        assert manager.verdict() == "fail"
         telemetry.gauge("daemon_queue_depth", 20.0)
-        evaluator.evaluate()
-        moves = [
-            (e["from"], e["to"])
-            for e in manager.transitions
-            if e["alert"] == "health_queue_depth"
-        ]
-        assert moves == [
-            ("inactive", "firing"),
-            ("firing", "resolved"),
-            ("resolved", "pending"),
-        ]
+        manager.evaluate()
+        assert manager.verdict() == "warn"
+        moves = {}
+        for event in manager.transitions:
+            moves.setdefault(event["alert"], []).append((event["from"], event["to"]))
+        assert moves == {
+            "queue_backlog": [("inactive", "firing"), ("firing", "resolved")],
+            "queue_depth": [("inactive", "firing")],
+        }
 
 
 # -- sketch-driven anomaly detectors ----------------------------------------

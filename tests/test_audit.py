@@ -3,13 +3,18 @@
 Covers the shadow reservoir's statistical contract (exact counts,
 capacity bound, unbiased flow estimate, batch/scalar equivalence), the
 GuaranteeMonitor's Theorem 1/2 bound tracking (including the corrupted-
-sketch violation path and drift alerting), the health rule engine and
-its ``/health`` HTTP route, the daemon/control-plane wiring, and the
-``nitrosketch top`` dashboard renderer.
+sketch violation path and drift alerting), the stock health rules and
+the ``/health`` HTTP route served from their alert manager, the
+daemon/control-plane wiring, and the ``nitrosketch top`` dashboard
+renderer.
 """
 
+import inspect
 import io
 import json
+import math
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -18,22 +23,15 @@ import pytest
 
 from repro.analysis.theory import l1_error_bound, l2_error_bound
 from repro.core import NitroSketch, nitro_countmin
+from repro.core.config import P_MIN
 from repro.metrics.opcount import OpCounter
 from repro.sketches import CountMinSketch, CountSketch, Monitor
 from repro.switchsim import MeasurementDaemon, SwitchSimulator, VPPPipeline
-from repro.telemetry import Telemetry, TelemetryServer
+from repro.telemetry import AlertManager, Telemetry, TelemetryServer, ThresholdRule
 from repro.telemetry.audit import AuditReport, GuaranteeMonitor, ShadowAuditor
 from repro.telemetry.dashboard import SnapshotSource, TopLoop, render_dashboard
-from repro.telemetry.health import (
-    ConvergenceRule,
-    ErrorSLORule,
-    GuaranteeRule,
-    HealthEvaluator,
-    ProbabilityFloorRule,
-    QueueDepthRule,
-    default_rules,
-    sample_value,
-)
+from repro.telemetry.alerts import AlertRule, labelset_key, metric_value
+from repro.telemetry.health import health_rules
 from repro.traffic import caida_like
 from repro.traffic.replay import Batch
 
@@ -114,6 +112,19 @@ class TestShadowAuditor:
         with pytest.raises(ValueError):
             ShadowAuditor(capacity=0)
 
+    def test_audits_uint64_keys_above_int64(self):
+        """Regression: the audit's query array was cast to int64, so a
+        key of 2**63 or more raised OverflowError."""
+        keys = np.full(1_000, 2**63 + 12_345, dtype=np.uint64)
+        monitor = nitro_countmin(probability=0.5, seed=1)
+        monitor.update_batch(keys)
+        auditor = ShadowAuditor(capacity=64, seed=1)
+        auditor.observe_batch(keys)
+        report = auditor.audit(monitor)
+        assert report.tracked_flows == 1
+        assert report.worst_key == 2**63 + 12_345
+        assert report.max_relative_error < 0.5
+
     def test_audit_reports_exact_match_as_zero_error(self):
         class PerfectMonitor(Monitor):
             def __init__(self, truth):
@@ -159,7 +170,7 @@ class TestShadowAuditor:
             "audit_absolute_error",
         ):
             assert family in snap["metrics"], family
-        mean = sample_value(
+        mean = metric_value(
             snap, "audit_relative_error", {"component": "audit", "stat": "mean"}
         )
         assert mean is not None and mean >= 0.0
@@ -307,93 +318,275 @@ class TestGuaranteeProperty:
         assert telemetry.tracer.events("audit.violation")
 
 
-# -- Health rules -----------------------------------------------------------
+# -- the stock health rules -------------------------------------------------
+
+_AUDIT = {"component": "audit"}
+_MEAN = {"component": "audit", "stat": "mean"}
+
+#: Gauge settings of the retired per-rule tests plus the checkpoint and
+#: drop-share thresholds, each with the verdict the retired engine gave
+#: (its default rule set plus its queue-saturation rule).
+PARITY_ROWS = [
+    ("no_data", [], "ok"),
+    ("error_1pct", [("audit_relative_error", 0.01, _MEAN)], "ok"),
+    ("error_20pct", [("audit_relative_error", 0.2, _MEAN)], "fail"),
+    (
+        "ratio_0.9",
+        [("audit_guarantee_violations", 0, _AUDIT), ("audit_bound_ratio", 0.9, _AUDIT)],
+        "warn",
+    ),
+    (
+        "ratio_0.2",
+        [("audit_guarantee_violations", 0, _AUDIT), ("audit_bound_ratio", 0.2, _AUDIT)],
+        "ok",
+    ),
+    (
+        "violations",
+        [("audit_guarantee_violations", 2, _AUDIT), ("audit_bound_ratio", 0.2, _AUDIT)],
+        "fail",
+    ),
+    ("p_0.5", [("nitro_sampling_probability", 0.5, {})], "ok"),
+    ("p_0.01", [("nitro_sampling_probability", 0.01, {})], "ok"),
+    ("p_floor", [("nitro_sampling_probability", P_MIN, {})], "warn"),
+    ("checks_10", [("nitro_convergence_checks_total", 10, {})], "ok"),
+    ("checks_50", [("nitro_convergence_checks_total", 50, {})], "warn"),
+    (
+        "converged",
+        [("nitro_convergence_checks_total", 50, {}), ("nitro_convergence_total", 1, {})],
+        "ok",
+    ),
+    ("depth_5", [("daemon_queue_depth", 5, {"daemon": "d"})], "ok"),
+    ("depth_9", [("daemon_queue_depth", 9, {"daemon": "d"})], "ok"),
+    ("depth_16", [("daemon_queue_depth", 16, {"daemon": "d"})], "warn"),
+    ("depth_20", [("daemon_queue_depth", 20, {})], "warn"),
+    ("depth_64", [("daemon_queue_depth", 64, {"daemon": "d"})], "fail"),
+    ("depth_100", [("daemon_queue_depth", 100, {})], "fail"),
+    ("age_3", [("daemon_checkpoint_age_batches", 3, {})], "ok"),
+    ("age_10", [("daemon_checkpoint_age_batches", 10, {})], "ok"),
+    ("age_25", [("daemon_checkpoint_age_batches", 25, {})], "ok"),
+    ("age_64", [("daemon_checkpoint_age_batches", 64, {})], "warn"),
+    ("age_256", [("daemon_checkpoint_age_batches", 256, {})], "fail"),
+    (
+        "restore_failure",
+        [
+            ("daemon_checkpoint_age_batches", 0, {}),
+            ("checkpoint_restore_failures_total", 1, {}),
+        ],
+        "warn",
+    ),
+    (
+        "drops_1pct",
+        [
+            ("service_ingest_batches_total", 99, {"tenant": "a"}),
+            ("service_dropped_batches_total", 1, {"tenant": "a"}),
+        ],
+        "warn",
+    ),
+    (
+        "drops_25pct",
+        [
+            ("service_ingest_batches_total", 75, {"tenant": "a"}),
+            ("service_dropped_batches_total", 25, {"tenant": "a"}),
+        ],
+        "fail",
+    ),
+]
 
 
-def _snap_with(telemetry) -> dict:
-    return telemetry.snapshot()
+def _health(settings=(), error_slo=0.05):
+    """A manager over the stock rules, evaluated once over ``settings``."""
+    telemetry = Telemetry()
+    for metric, value, labels in settings:
+        if metric.endswith("_total"):
+            telemetry.count(metric, value, **labels)
+        else:
+            telemetry.gauge(metric, value, **labels)
+    manager = AlertManager(telemetry, health_rules(error_slo=error_slo))
+    manager.evaluate()
+    return manager
 
 
-class TestHealthRules:
+def _firing(manager):
+    return sorted(
+        (state.name, labelset_key(state.labels)) for state in manager.firing()
+    )
+
+
+class TestHealthAlerts:
+    @pytest.mark.parametrize(
+        "settings, expected",
+        [row[1:] for row in PARITY_ROWS],
+        ids=[row[0] for row in PARITY_ROWS],
+    )
+    def test_verdict_parity_with_retired_engine(self, settings, expected):
+        assert _health(settings).verdict() == expected
+
+    def test_rule_set_shape(self):
+        rules = health_rules()
+        assert [rule.name for rule in rules] == [
+            "error_slo",
+            "guarantee_violation",
+            "guarantee_margin",
+            "p_floor",
+            "convergence_stall",
+            "queue_depth",
+            "queue_backlog",
+            "checkpoint_restore_failures",
+            "checkpoint_age",
+            "checkpoint_stale",
+            "batches_dropped",
+            "drop_share",
+        ]
+        assert sum(type(rule) is ThresholdRule for rule in rules) == 10
+        assert list(inspect.signature(health_rules).parameters) == ["error_slo"]
+        with pytest.raises(ValueError):
+            health_rules(error_slo=0)
+
     def test_error_slo_rule(self):
-        telemetry = Telemetry()
-        rule = ErrorSLORule(slo=0.05)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"  # no data
-        telemetry.gauge("audit_relative_error", 0.01, component="audit", stat="mean")
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("audit_relative_error", 0.2, component="audit", stat="mean")
-        assert rule.evaluate(_snap_with(telemetry)).status == "fail"
+        assert _firing(_health()) == []
+        manager = _health([("audit_relative_error", 0.2, _MEAN)])
+        assert _firing(manager) == [("error_slo", "component=audit,stat=mean")]
+        assert manager.verdict() == "fail"
+        # The audit CLIs' loose SLO tolerates the same error.
+        loose = _health([("audit_relative_error", 0.2, _MEAN)], error_slo=5.0)
+        assert loose.verdict() == "ok"
 
     def test_guarantee_rule(self):
-        telemetry = Telemetry()
-        rule = GuaranteeRule(warn_ratio=0.8)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("audit_guarantee_violations", 0, component="audit")
-        telemetry.gauge("audit_bound_ratio", 0.9, component="audit")
-        assert rule.evaluate(_snap_with(telemetry)).status == "warn"
-        telemetry.gauge("audit_bound_ratio", 0.2, component="audit")
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("audit_guarantee_violations", 2, component="audit")
-        assert rule.evaluate(_snap_with(telemetry)).status == "fail"
+        manager = _health(
+            [("audit_guarantee_violations", 0, _AUDIT), ("audit_bound_ratio", 0.9, _AUDIT)]
+        )
+        assert _firing(manager) == [("guarantee_margin", "component=audit")]
+        # A violated bound reads ratio inf: both alerts fire, the verdict fails.
+        manager = _health(
+            [
+                ("audit_guarantee_violations", 1, _AUDIT),
+                ("audit_bound_ratio", float("inf"), _AUDIT),
+            ]
+        )
+        assert [name for name, _ in _firing(manager)] == [
+            "guarantee_margin",
+            "guarantee_violation",
+        ]
+        assert manager.verdict() == "fail"
 
     def test_probability_floor_rule(self):
-        telemetry = Telemetry()
-        rule = ProbabilityFloorRule(floor=0.01)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("nitro_sampling_probability", 0.5)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("nitro_sampling_probability", 0.01)
-        assert rule.evaluate(_snap_with(telemetry)).status == "warn"
+        manager = _health([("nitro_sampling_probability", P_MIN, {})])
+        assert _firing(manager) == [("p_floor", "")]
+        assert manager.verdict() == "warn"
 
     def test_convergence_rule(self):
         telemetry = Telemetry()
-        rule = ConvergenceRule(stall_checks=10)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
+        manager = AlertManager(telemetry, health_rules())
         telemetry.count("nitro_convergence_checks_total", 50)
-        assert rule.evaluate(_snap_with(telemetry)).status == "warn"
+        manager.evaluate()
+        assert _firing(manager) == [("convergence_stall", "")]
         telemetry.count("nitro_convergence_total")
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
+        manager.evaluate()
+        assert manager.firing() == []
+        assert manager.verdict() == "ok"
 
     def test_queue_depth_rule(self):
-        telemetry = Telemetry()
-        rule = QueueDepthRule(warn_depth=4, fail_depth=8)
-        assert rule.evaluate(_snap_with(telemetry)).status == "ok"
-        telemetry.gauge("daemon_queue_depth", 5, daemon="d")
-        assert rule.evaluate(_snap_with(telemetry)).status == "warn"
-        telemetry.gauge("daemon_queue_depth", 9, daemon="d")
-        assert rule.evaluate(_snap_with(telemetry)).status == "fail"
+        manager = _health([("daemon_queue_depth", 100, {"daemon": "d"})])
+        assert _firing(manager) == [
+            ("queue_backlog", "daemon=d"),
+            ("queue_depth", "daemon=d"),
+        ]
+        assert manager.verdict() == "fail"
 
-    def test_sample_value_parses_non_finite_strings(self):
+    def test_alerts_are_per_labelset(self):
+        """Two daemons at depth 10 each: the retired engine summed them
+        to 20 and warned; each daemon's queue is fine on its own."""
+        manager = _health(
+            [
+                ("daemon_queue_depth", 10, {"daemon": "a"}),
+                ("daemon_queue_depth", 10, {"daemon": "b"}),
+            ]
+        )
+        assert manager.verdict() == "ok"
+
+    def test_audit_gauges_of_any_component_count(self):
+        """The retired engine read only ``component="audit"``."""
+        manager = _health(
+            [("audit_relative_error", 0.2, {"component": "svc", "stat": "mean"})]
+        )
+        assert _firing(manager) == [("error_slo", "component=svc,stat=mean")]
+        assert manager.verdict() == "fail"
+
+    def test_drop_share_rule(self):
+        manager = _health(
+            [
+                ("service_ingest_batches_total", 75, {"tenant": "a"}),
+                ("service_dropped_batches_total", 25, {"tenant": "a"}),
+            ]
+        )
+        assert _firing(manager) == [
+            ("batches_dropped", "tenant=a"),
+            ("drop_share", ""),
+        ]
+        (share,) = [s for s in manager.firing() if s.name == "drop_share"]
+        assert share.value == pytest.approx(0.25)
+        # Daemon-side drops count too, against the daemons' own batches.
+        manager = _health(
+            [
+                ("daemon_batches_total", 1, {"daemon": "d"}),
+                ("daemon_batches_dropped_total", 3, {"daemon": "d"}),
+            ]
+        )
+        assert _firing(manager) == [("drop_share", "")]
+
+    def test_metric_value_parses_non_finite_strings(self):
         snap = {
             "metrics": {
-                "m": {"samples": [{"labels": {}, "value": "+Inf"}]},
+                "m": {
+                    "samples": [
+                        {"labels": {"a": "1"}, "value": "+Inf"},
+                        {"labels": {"a": "2"}, "value": "-Inf"},
+                        {"labels": {"a": "3"}, "value": "NaN"},
+                        {"labels": {"a": "4"}, "buckets": [1.0], "counts": [0, 1]},
+                    ]
+                },
             }
         }
-        assert sample_value(snap, "m") == float("inf")
+        assert metric_value(snap, "m", {"a": "1"}) == float("inf")
+        assert metric_value(snap, "m", {"a": "2"}) == float("-inf")
+        assert math.isnan(metric_value(snap, "m", {"a": "3"}))
+        assert metric_value(snap, "m", {"a": "4"}) is None  # histogram: skipped
+        assert metric_value(snap, "absent") is None
 
     def test_evaluator_aggregates_and_exports(self):
         telemetry = Telemetry()
         telemetry.gauge("audit_relative_error", 0.9, component="audit", stat="mean")
-        evaluator = HealthEvaluator(telemetry, default_rules(error_slo=0.05))
-        report = evaluator.evaluate()
-        assert report.status == "fail"
-        assert any(r.name == "error_slo" and r.status == "fail" for r in report.results)
+        manager = AlertManager(telemetry, health_rules(error_slo=0.05))
+        manager.evaluate()
+        assert manager.verdict() == "fail"
         snap = telemetry.snapshot()
-        assert sample_value(snap, "health_status", {"rule": "overall"}) == 2.0
-        assert sample_value(snap, "health_status", {"rule": "error_slo"}) == 2.0
-        transitions = telemetry.tracer.events("health.transition")
-        assert len(transitions) == 1
+        assert (
+            metric_value(
+                snap, "ALERTS", {"alertname": "error_slo", "alertstate": "firing"}
+            )
+            == 1.0
+        )
+        transitions = telemetry.tracer.events("alert.transition")
+        assert [event.fields["alert"] for event in transitions] == ["error_slo"]
         # Second evaluation with the same verdict: no new transition.
-        evaluator.evaluate()
-        assert len(telemetry.tracer.events("health.transition")) == 1
+        manager.evaluate()
+        assert len(telemetry.tracer.events("alert.transition")) == 1
+        assert [event["to"] for event in manager.transitions] == ["firing"]
 
     def test_report_as_dict_schema(self):
         telemetry = Telemetry()
-        report = HealthEvaluator(telemetry).evaluate()
-        payload = report.as_dict()
-        assert set(payload) == {"status", "evaluations", "rules"}
-        for rule in payload["rules"]:
-            assert {"name", "status", "detail"} <= set(rule)
+        telemetry.gauge("daemon_queue_depth", 20.0, daemon="d")
+        manager = AlertManager(telemetry, health_rules())
+        with TelemetryServer(telemetry, port=0, health=manager).start() as server:
+            url = "http://127.0.0.1:%d/health" % server.port
+            with urllib.request.urlopen(url) as response:
+                payload = json.loads(response.read().decode("utf-8"))
+        assert set(payload) == {"status", "evaluations", "alerts"}
+        assert payload["status"] == "warn"
+        assert payload["evaluations"] == 1
+        (alert,) = payload["alerts"]
+        assert alert["alert"] == "queue_depth" and alert["state"] == "firing"
+        assert {"alert", "labels", "severity", "state", "value", "detail"} <= set(alert)
 
 
 # -- /health HTTP route -----------------------------------------------------
@@ -402,22 +595,15 @@ class TestHealthRules:
 class TestHealthEndpoint:
     def test_health_route_ok_and_fail(self):
         telemetry = Telemetry()
-        evaluator = HealthEvaluator(telemetry, default_rules(error_slo=0.05))
-        with TelemetryServer(telemetry, port=0, health=evaluator).start() as server:
+        manager = AlertManager(telemetry, health_rules(error_slo=0.05))
+        with TelemetryServer(telemetry, port=0, health=manager).start() as server:
             url = "http://127.0.0.1:%d/health" % server.port
             with urllib.request.urlopen(url) as response:
                 assert response.status == 200
                 payload = json.loads(response.read().decode("utf-8"))
-            assert payload["status"] == "ok"
-            assert {rule["name"] for rule in payload["rules"]} == {
-                "error_slo",
-                "guarantee",
-                "p_floor",
-                "convergence",
-                "queue_depth",
-                "checkpoint_staleness",
-            }
-            # Force a failing verdict: 503 with the same JSON schema.
+            assert payload == {"status": "ok", "evaluations": 1, "alerts": []}
+            # Force a failing verdict: 503 with the same JSON schema,
+            # naming the critical alert behind it.
             telemetry.gauge(
                 "audit_relative_error", 0.9, component="audit", stat="mean"
             )
@@ -426,6 +612,61 @@ class TestHealthEndpoint:
             assert excinfo.value.code == 503
             body = json.loads(excinfo.value.read().decode("utf-8"))
             assert body["status"] == "fail"
+            assert body["evaluations"] == 2
+            assert [(a["alert"], a["state"], a["severity"]) for a in body["alerts"]] == [
+                ("error_slo", "firing", "critical")
+            ]
+
+    def test_health_body_is_strict_json(self):
+        """A violated bound reads ratio inf; the body must still parse
+        as strict JSON (no bare ``Infinity`` token)."""
+        telemetry = Telemetry()
+        telemetry.gauge("audit_guarantee_violations", 1, component="audit")
+        telemetry.gauge("audit_bound_ratio", float("inf"), component="audit")
+        manager = AlertManager(telemetry, health_rules())
+        with TelemetryServer(telemetry, port=0, health=manager).start() as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen("http://127.0.0.1:%d/health" % server.port)
+            text = excinfo.value.read().decode("utf-8")
+
+        def reject(token):
+            raise ValueError("non-strict JSON token %s" % token)
+
+        body = json.loads(text, parse_constant=reject)
+        values = {alert["alert"]: alert["value"] for alert in body["alerts"]}
+        assert values == {"guarantee_margin": "+Inf", "guarantee_violation": 1.0}
+
+    def test_concurrent_requests_share_one_state_machine(self):
+        """Request threads evaluate one manager one at a time, so no
+        evaluation is lost and its state machine never interleaves."""
+
+        class Probe(AlertRule):
+            inside = most = 0
+
+            def evaluate(self, snap, history, now):
+                Probe.inside += 1
+                Probe.most = max(Probe.most, Probe.inside)
+                time.sleep(0.002)  # releases the GIL mid-evaluation
+                Probe.inside -= 1
+                return []
+
+        telemetry = Telemetry()
+        manager = AlertManager(telemetry, health_rules() + [Probe("probe")])
+        with TelemetryServer(telemetry, port=0, health=manager).start() as server:
+            url = "http://127.0.0.1:%d/health" % server.port
+
+            def hit():
+                for _ in range(5):
+                    urllib.request.urlopen(url, timeout=10).close()
+
+            threads = [threading.Thread(target=hit) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert Probe.most == 1
+        assert manager.evaluations == 30
 
     def test_health_route_absent_without_evaluator(self):
         with TelemetryServer(Telemetry(), port=0).start() as server:
@@ -455,9 +696,9 @@ class TestWiring:
         assert not daemon.enqueue(_make_batch([3]))  # full -> dropped
         assert daemon.batches_dropped == 1
         snap = telemetry.snapshot()
-        assert sample_value(snap, "daemon_queue_depth") == 2.0
+        assert metric_value(snap, "daemon_queue_depth") == 2.0
         assert daemon.drain() == 2
-        assert sample_value(telemetry.snapshot(), "daemon_queue_depth") == 0.0
+        assert metric_value(telemetry.snapshot(), "daemon_queue_depth") == 0.0
 
     def test_daemon_without_queue_rejects_enqueue(self):
         daemon = MeasurementDaemon(CountSketch(4, 64, seed=0))
@@ -486,7 +727,7 @@ class TestDashboard:
 
         telemetry = Telemetry()
         run_audited_demo(telemetry, packets=5_000, seed=7)
-        HealthEvaluator(telemetry, default_rules(error_slo=5.0)).evaluate()
+        AlertManager(telemetry, health_rules(error_slo=5.0)).evaluate()
         return telemetry
 
     def test_render_dashboard_frame(self):
@@ -496,7 +737,7 @@ class TestDashboard:
         assert "accuracy" in frame
         assert "guarantee" in frame
         assert "of bound" in frame
-        assert "health" in frame
+        assert "alerts      none active" in frame
         assert "stages" in frame
 
     def test_render_dashboard_throughput_deltas(self):

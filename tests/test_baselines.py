@@ -277,6 +277,9 @@ class TestHHH:
             hhh.update(base | host)
         # The /8 prefix aggregates everything.
         assert hhh.query(base, 8) == pytest.approx(200, rel=0.1)
+        # The point query reads the longest level, so the inherited
+        # query_batch works (it used to need a prefix length).
+        assert hhh.query_batch([base | 7]).tolist() == [hhh.query(base | 7, 32)]
 
     def test_randomized_hhh_scaled_estimates(self):
         rhhh = RandomizedHHH(counters_per_level=256, seed=1)

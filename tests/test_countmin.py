@@ -146,3 +146,15 @@ class TestConservativeCountMin:
             conservative.update(key)
         for key in set(keys):
             assert conservative.query(key) <= vanilla.query(key) + 1e-9
+
+    def test_batch_path_stays_conservative(self):
+        """Regression: update_batch was the inherited plain Count-Min
+        scatter, so batch ingest lost conservative update."""
+        keys = np.random.default_rng(1).integers(0, 2_000, 20_000)
+        scalar = ConservativeCountMinSketch(4, 256, seed=1)
+        for key in keys.tolist():
+            scalar.update(key)
+        batch = ConservativeCountMinSketch(4, 256, seed=1)
+        batch.update_batch(keys, duration_seconds=0.1)
+        assert np.array_equal(scalar.counters, batch.counters)
+        assert batch.counters.sum() < 4 * len(keys)

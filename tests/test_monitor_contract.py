@@ -1,11 +1,12 @@
 """Every public monitor class satisfies the one monitor contract.
 
 Owners (the measurement daemon, the window ring, the auditor) call
-``update(key, weight, timestamp=...)`` and
-``update_batch(keys, weights, duration_seconds=...)`` on any monitor
-and read ``ops`` / ``telemetry`` / ``profiler`` / ``packets_sampled``
-without probing for them first, so a class that leaves ``Monitor`` or
-drops one of those parameters breaks its owners.
+``update(key, weight, timestamp=...)``,
+``update_batch(keys, weights, duration_seconds=...)`` and
+``query(key)`` on any monitor and read ``ops`` / ``telemetry`` /
+``profiler`` / ``packets_sampled`` without probing for them first, so a
+class that leaves ``Monitor``, drops one of those parameters or needs
+more than the key to answer a point query breaks its owners.
 """
 
 import inspect
@@ -73,6 +74,9 @@ def test_class_follows_monitor_contract(cls):
     assert issubclass(cls, Monitor)
     assert "timestamp" in inspect.signature(cls.update).parameters
     assert "duration_seconds" in inspect.signature(cls.update_batch).parameters
+    # query(key) is the point query the inherited query_batch calls.
+    _, _, *extra = inspect.signature(cls.query).parameters.values()
+    assert all(p.default is not inspect.Parameter.empty for p in extra), extra
 
 
 def test_default_batch_paths_feed_the_scalar_methods():

@@ -27,8 +27,9 @@ from repro.faults.chaos import ChaosRunner
 from repro.sketches import CountMinSketch, CountSketch, KArySketch
 from repro.sketches.univmon import UnivMon
 from repro.switchsim.daemon import MeasurementDaemon
-from repro.telemetry import Telemetry
-from repro.telemetry.health import CheckpointStalenessRule, sample_value
+from repro.telemetry import AlertManager, Telemetry
+from repro.telemetry.alerts import metric_value
+from repro.telemetry.health import health_rules
 from repro.telemetry.profile import StageProfiler, stage_summary
 from repro.traffic import caida_like
 from repro.traffic.replay import Replayer
@@ -205,7 +206,7 @@ class TestCheckpointManager:
         assert restored.sequence == newest.sequence - 1
         assert serialize_monitor(restored.monitor) == serialize_monitor(older)
         snap = telemetry.snapshot()
-        assert sample_value(snap, "checkpoint_restore_failures_total") == 1
+        assert metric_value(snap, "checkpoint_restore_failures_total") == 1
 
     def test_validates_arguments(self, tmp_path):
         with pytest.raises(ValueError):
@@ -457,28 +458,48 @@ class TestFaultInjectors:
         assert lossless.missing_sequences() == []
 
 
+def _checkpoint_health(telemetry):
+    """The stock rules' verdict and firing alerts over ``telemetry``."""
+    manager = AlertManager(telemetry, health_rules())
+    manager.evaluate()
+    return manager.verdict(), sorted(state.name for state in manager.firing())
+
+
 class TestCheckpointStalenessRule:
+    """The checkpoint rules of the stock ``/health`` set."""
+
     def test_ok_when_not_checkpointing(self):
-        result = CheckpointStalenessRule().evaluate(Telemetry().snapshot())
-        assert result.status == "ok"
+        assert _checkpoint_health(Telemetry()) == ("ok", [])
 
     def test_age_thresholds(self):
-        rule = CheckpointStalenessRule(warn_age=10, fail_age=20)
-        for age, expected in [(3, "ok"), (10, "warn"), (25, "fail")]:
+        for age, expected in [
+            (3, ("ok", [])),
+            (64, ("warn", ["checkpoint_age"])),
+            (256, ("fail", ["checkpoint_age", "checkpoint_stale"])),
+        ]:
             telemetry = Telemetry()
             telemetry.gauge("daemon_checkpoint_age_batches", age)
-            assert rule.evaluate(telemetry.snapshot()).status == expected
+            assert _checkpoint_health(telemetry) == expected
 
     def test_restore_failures_warn(self):
         telemetry = Telemetry()
         telemetry.gauge("daemon_checkpoint_age_batches", 0)
         telemetry.count("checkpoint_restore_failures_total")
-        result = CheckpointStalenessRule().evaluate(telemetry.snapshot())
-        assert result.status == "warn"
+        assert _checkpoint_health(telemetry) == (
+            "warn",
+            ["checkpoint_restore_failures"],
+        )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CheckpointStalenessRule(warn_age=0)
+    def test_stale_checkpoint_fails_despite_restore_failures(self):
+        """The retired rule returned warn on any restore failure before
+        it looked at the age; each condition is now its own alert."""
+        telemetry = Telemetry()
+        telemetry.gauge("daemon_checkpoint_age_batches", 300)
+        telemetry.count("checkpoint_restore_failures_total")
+        assert _checkpoint_health(telemetry) == (
+            "fail",
+            ["checkpoint_age", "checkpoint_restore_failures", "checkpoint_stale"],
+        )
 
 
 class TestChaosScenarios:

@@ -478,6 +478,44 @@ class TestServiceEndToEnd:
         }
         assert frames == {"accepted": 1, "dropped": 1}
 
+    def test_health_fails_while_shedding_load(self):
+        """Under ``overflow="drop"`` the service's /health watches its
+        drop counters: a flooded tenant trips the critical drop share,
+        and the per-tenant drop alert names that tenant only."""
+        import asyncio
+
+        service = MonitoringService(
+            ServiceConfig(queue_capacity=1, overflow="drop", epoch_batches=0),
+            telemetry=Telemetry(),
+        )
+        payload = records.encode_keys(np.arange(100, dtype=np.int64))
+        # Drive the frame handler before the drainer runs, so tenant a's
+        # one-batch queue sheds every frame after its first.
+        for _ in range(20):
+            asyncio.run(service._ingest_frame("a", payload))
+        asyncio.run(service._ingest_frame("b", payload))
+        service.start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _http(service.http_port, "/health")
+        finally:
+            service.stop()
+        assert excinfo.value.code == 503
+        health = json.loads(excinfo.value.read())
+        assert health["status"] == "fail"
+        firing = {
+            (alert["alert"], json.dumps(alert["labels"], sort_keys=True)): alert
+            for alert in health["alerts"]
+            if alert["state"] == "firing"
+        }
+        assert set(firing) == {
+            ("drop_share", "{}"),
+            ("batches_dropped", '{"tenant": "a"}'),
+        }
+        # 19 of a's frames shed; a and b each had one accepted.
+        assert firing[("drop_share", "{}")]["value"] == pytest.approx(19 / 21)
+        assert firing[("drop_share", "{}")]["severity"] == "critical"
+
     def test_wait_backpressure_never_counts_drops(self):
         """Regression: the wait policy used to offer batches to a full
         queue in its retry loop, inflating ``batches_dropped`` with
