@@ -30,6 +30,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hashing import key_array
 from repro.sketches.base import Monitor
 
 
@@ -274,9 +275,7 @@ class SlidingWindowMonitor(Monitor):
         if not candidates:
             return []
         ordered = sorted(candidates)
-        # numpy picks the key dtype: int64 for wire keys (which may be
-        # negative), uint64 once a key reaches 2**63.
-        estimates = self.query_batch(np.asarray(ordered))
+        estimates = self.query_batch(key_array(ordered))
         hitters = [
             (key, float(est))
             for key, est in zip(ordered, estimates.tolist())

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.geometric import GeometricSampler, geometric_positions
 from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
+from repro.hashing import key_array
 from repro.kernels.distinct import sorted_distinct_count
 from repro.sketches.base import CanonicalSketch, Monitor
 from repro.sketches.topk import TopK
@@ -388,7 +389,7 @@ class NitroSketch(Monitor):
         tracked = list(self.topk.keys()) if self.topk is not None else []
         if not tracked:
             return []
-        estimates = self.sketch.query_batch(np.asarray(tracked))
+        estimates = self.sketch.query_batch(key_array(tracked))
         return [(key, float(est)) for key, est in zip(tracked, estimates.tolist())]
 
     def heavy_hitters(self, threshold: float) -> List[Tuple[int, float]]:
@@ -426,9 +427,7 @@ class NitroSketch(Monitor):
             # post-merge estimate: our keys' stored estimates predate the
             # merge, and leaving them stale would let eviction order be
             # driven by pre-merge counts.
-            tracked = np.asarray(
-                sorted(set(self.topk.keys()) | set(other.topk.keys()))
-            )
+            tracked = key_array(sorted(set(self.topk.keys()) | set(other.topk.keys())))
             if len(tracked):
                 self.topk.offer_batch(tracked, self.sketch.query_batch(tracked))
 

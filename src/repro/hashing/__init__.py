@@ -28,6 +28,7 @@ from repro.hashing.families import (
     MultiplyShiftSign,
     make_hash_pairs,
     derive_seeds,
+    key_array,
 )
 from repro.hashing.xxhash import xxhash32, xxhash32_u64, xxhash32_batch
 from repro.hashing.tabulation import TabulationHash
@@ -45,6 +46,7 @@ __all__ = [
     "MultiplyShiftSign",
     "make_hash_pairs",
     "derive_seeds",
+    "key_array",
     "xxhash32",
     "xxhash32_u64",
     "xxhash32_batch",

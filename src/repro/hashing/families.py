@@ -195,6 +195,24 @@ def derive_seeds(seed: int, count: int) -> List[int]:
     return [rng.next_u64() for _ in range(count)]
 
 
+def key_array(keys: List[int]) -> "np.ndarray":
+    """A list of Python-int flow keys as the 64-bit array the hashes read.
+
+    ``int64`` when every key fits (wire keys may be negative), else
+    ``uint64`` when every key is in ``[0, 2**64)``; an empty list gives
+    an empty ``int64`` array.  ``np.asarray`` alone makes a list that
+    spans both halves of the ``uint64`` range ``float64``, and those
+    keys then hash as other flows.  Keys no one 64-bit dtype holds (a
+    negative key beside one of ``2**63`` or more) raise ``ValueError``.
+    """
+    for dtype in (np.int64, np.uint64):
+        try:
+            return np.fromiter(keys, dtype, len(keys))
+        except OverflowError:
+            pass
+    raise ValueError("flow keys fit neither int64 nor uint64")
+
+
 class MultiplyShiftHash:
     """Dietzfelbinger multiply-shift hash: 2-universal, branch-free, fast.
 

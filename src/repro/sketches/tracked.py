@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.hashing import key_array
 from repro.sketches.base import CanonicalSketch, Monitor
 from repro.sketches.topk import TopK
 
@@ -67,7 +68,7 @@ class TrackedSketch(Monitor):
         tracked = list(self.topk.keys())
         if not tracked:
             return []
-        estimates = self.sketch.query_batch(np.asarray(tracked))
+        estimates = self.sketch.query_batch(key_array(tracked))
         hitters = [
             (key, float(est))
             for key, est in zip(tracked, estimates.tolist())

@@ -607,7 +607,7 @@ class AlertManager:
             "labels": dict(state.labels),
             "from": state.state,
             "to": to,
-            "value": state.value,
+            "value": None if state.value is None else _json_value(state.value),
             "detail": state.detail,
         }
         state.state = to

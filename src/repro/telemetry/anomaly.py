@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.hashing import key_array
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = [
@@ -181,7 +182,7 @@ class SketchAnomalyDetectors:
         candidates = sorted(keys)
         if len(candidates) <= self.top_candidates:
             return candidates
-        estimates = sketch.query_batch(np.asarray(candidates, dtype=np.int64))
+        estimates = sketch.query_batch(key_array(candidates))
         order = np.argsort(estimates)[::-1][: self.top_candidates]
         return [candidates[int(i)] for i in order]
 
@@ -189,7 +190,7 @@ class SketchAnomalyDetectors:
         """Estimated per-flow packet counts for *this epoch only*."""
         if not candidates:
             return {}
-        keys = np.asarray(candidates, dtype=np.int64)
+        keys = key_array(candidates)
         if not self.cumulative or self._prev_cumulative is None:
             epoch_values = np.asarray(sketch.query_batch(keys), dtype=np.float64)
         elif hasattr(sketch, "difference"):

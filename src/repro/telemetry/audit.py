@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.analysis.theory import l1_error_bound, l2_error_bound
-from repro.metrics.accuracy import relative_error
+from repro.hashing import key_array
 from repro.metrics.opcount import NULL_OPS
 from repro.telemetry import NULL_TELEMETRY
 
@@ -61,14 +61,6 @@ def _mix(keys: "np.ndarray", salt: int) -> "np.ndarray":
         h ^= h >> _HASH_SHIFT
         h = h * _HASH_MULTIPLIER
     return h
-
-
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending list (p = fraction in [0,1])."""
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered) - 1, max(0, int(math.ceil(fraction * len(ordered))) - 1))
-    return ordered[rank]
 
 
 @dataclass
@@ -204,15 +196,14 @@ class ShadowAuditor:
 
     def _shrink(self) -> None:
         """Halve the hash threshold until the reservoir fits again."""
-        while len(self.truth) > self.capacity:
-            self._threshold //= 2
-            if self._threshold == 0:  # pragma: no cover - 64 halvings
-                self._threshold = 1
-            keys = np.fromiter(self.truth, dtype=np.int64, count=len(self.truth))
-            keep = _mix(keys, self.seed) < np.uint64(self._threshold)
-            self.truth = {
-                int(key): self.truth[int(key)] for key in keys[keep].tolist()
-            }
+        keys = key_array(list(self.truth))
+        hashes = _mix(keys, self.seed)
+        keep = np.ones(len(keys), dtype=bool)
+        while np.count_nonzero(keep) > self.capacity:
+            self._threshold = max(self._threshold // 2, 1)
+            keep = hashes < np.uint64(self._threshold)
+        truth = self.truth
+        self.truth = {key: truth[key] for key in keys[keep].tolist()}
 
     # -- auditing -----------------------------------------------------------
 
@@ -222,54 +213,54 @@ class ShadowAuditor:
         ``monitor`` is any :class:`~repro.sketches.base.Monitor`; one
         ``query_batch`` call answers every key.  The queries run with
         the monitor's op accounting suspended so an audited run keeps
-        the exact op tallies of an unaudited one.
+        the exact op tallies of an unaudited one.  The errors are one
+        array pass in reservoir order; a NaN estimate counts as an
+        infinite error, so a corrupted counter cannot read clean.
         """
         self.audits += 1
-        keys = list(self.truth)
-        estimates = self._query_all(monitor, keys)
-        rel: List[float] = []
-        abs_errors: List[float] = []
-        worst_key: Optional[int] = None
-        worst_abs = -1.0
-        for key, estimate in zip(keys, estimates):
-            true = self.truth[key]
-            rel.append(relative_error(estimate, true))
-            error = abs(estimate - true)
-            abs_errors.append(error)
-            if error > worst_abs:
-                worst_abs = error
-                worst_key = key
-        ordered = sorted(rel)
-        report = AuditReport(
-            tracked_flows=len(keys),
-            total_weight=self.total_weight,
-            mean_relative_error=sum(rel) / len(rel) if rel else 0.0,
-            p50_relative_error=_percentile(ordered, 0.50),
-            p90_relative_error=_percentile(ordered, 0.90),
-            p99_relative_error=_percentile(ordered, 0.99),
-            max_relative_error=ordered[-1] if ordered else 0.0,
-            mean_absolute_error=(
-                sum(abs_errors) / len(abs_errors) if abs_errors else 0.0
-            ),
-            max_absolute_error=max(abs_errors) if abs_errors else 0.0,
-            worst_key=worst_key,
-        )
+        truth = self.truth
+        keys = list(truth)
+        count = len(keys)
+        if not count:
+            report = AuditReport(0, self.total_weight, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            true = np.fromiter(truth.values(), np.float64, count)
+            previous_ops = monitor.ops
+            monitor.ops = NULL_OPS
+            try:
+                estimates = monitor.query_batch(key_array(keys))
+            finally:
+                monitor.ops = previous_ops
+            abs_errors = np.abs(np.asarray(estimates, dtype=np.float64) - true)
+            # relative_error's zero-truth rule: 0.0 for an exact zero, else inf.
+            rel = np.divide(
+                abs_errors,
+                np.abs(true),
+                out=np.where(abs_errors == 0, 0.0, math.inf),
+                where=true != 0,
+            )
+            unbounded = np.isnan(abs_errors)
+            if unbounded.any():
+                abs_errors[unbounded] = rel[unbounded] = math.inf
+            ordered = np.sort(rel)
+            worst = int(np.argmax(abs_errors))  # the first maximum
+            # Means by builtin sum in reservoir order: bit-equal to adding
+            # the flows one by one, which np.sum's pairwise order is not.
+            report = AuditReport(
+                tracked_flows=count,
+                total_weight=self.total_weight,
+                mean_relative_error=sum(rel.tolist()) / count,
+                # Nearest rank: the ceil(fraction * count)-th smallest.
+                p50_relative_error=ordered.item(math.ceil(0.50 * count) - 1),
+                p90_relative_error=ordered.item(math.ceil(0.90 * count) - 1),
+                p99_relative_error=ordered.item(math.ceil(0.99 * count) - 1),
+                max_relative_error=ordered.item(-1),
+                mean_absolute_error=sum(abs_errors.tolist()) / count,
+                max_absolute_error=abs_errors.item(worst),
+                worst_key=keys[worst],
+            )
         self._export(report)
         return report
-
-    def _query_all(self, monitor, keys: List[int]) -> List[float]:
-        if not keys:
-            return []
-        # Suspend op accounting: audits are control-plane reads and must
-        # not perturb the data plane's operation tallies.
-        previous_ops = monitor.ops
-        monitor.ops = NULL_OPS
-        try:
-            # Let numpy pick the dtype: uint64 keys >= 2**63 overflow int64.
-            estimates = monitor.query_batch(np.asarray(keys))
-            return [float(value) for value in estimates]
-        finally:
-            monitor.ops = previous_ops
 
     def _export(self, report: AuditReport) -> None:
         telemetry = self.telemetry

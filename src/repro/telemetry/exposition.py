@@ -36,17 +36,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import Tracer, _json_value
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _format_value(value: float) -> str:
     """Prometheus sample-value formatting (integers without the .0)."""
-    if value != value:  # NaN
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
+    if not math.isfinite(value):
+        return _json_value(value)  # "+Inf", "-Inf" or "NaN"
     if float(value).is_integer() and abs(value) < 1e15:
         return "%d" % int(value)
     return repr(float(value))
@@ -123,18 +121,6 @@ def _render_prometheus_locked(registry: MetricsRegistry) -> str:
                     % (family.name, _format_labels(labels), _format_value(child.value))
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _json_value(value: float):
-    """A strictly-JSON-safe sample value.
-
-    ``json.dumps`` would otherwise emit bare ``Infinity`` / ``NaN``
-    tokens, which are not valid JSON; non-finite values are encoded as
-    their Prometheus text strings instead.
-    """
-    if math.isfinite(value):
-        return value
-    return _format_value(value)
 
 
 def snapshot(registry: MetricsRegistry, tracer: Optional[Tracer] = None) -> Dict:

@@ -36,6 +36,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, TextIO
 from urllib.parse import urlsplit
 
+from repro.telemetry.tracer import _json_value
+
 __all__ = [
     "Notification",
     "NotificationSink",
@@ -65,7 +67,7 @@ class Notification:
             "state": self.state,
             "severity": self.severity,
             "labels": dict(self.labels),
-            "value": self.value,
+            "value": None if self.value is None else _json_value(self.value),
             "detail": self.detail,
             "timestamp": self.timestamp,
         }

@@ -19,17 +19,34 @@ paper's operational story turns on:
 
 Export is JSON Lines (one event per line, sorted keys) so traces diff
 cleanly and round-trip exactly -- :func:`read_jsonl` restores what
-:meth:`Tracer.to_jsonl` wrote.
+:meth:`Tracer.to_jsonl` wrote.  Every line is strict JSON: a non-finite
+float field is written, and read back, as the string ``"+Inf"``,
+``"-Inf"`` or ``"NaN"``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
+
+
+def _json_value(value: float):
+    """A strictly-JSON-safe float.
+
+    ``json.dumps`` would otherwise emit bare ``Infinity`` / ``NaN``
+    tokens, which are not valid JSON; non-finite values are encoded as
+    their Prometheus text strings (``+Inf``, ``-Inf``, ``NaN``) instead.
+    """
+    if math.isfinite(value):
+        return value
+    if value != value:
+        return "NaN"
+    return "+Inf" if value > 0 else "-Inf"
 
 
 @dataclass
@@ -48,12 +65,16 @@ class TraceEvent:
     wall: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
+        """JSON-able form; non-finite float fields become strings."""
         return {
             "seq": self.seq,
             "time": self.time,
             "wall": self.wall,
             "name": self.name,
-            "fields": self.fields,
+            "fields": {
+                key: _json_value(value) if isinstance(value, float) else value
+                for key, value in self.fields.items()
+            },
         }
 
     @classmethod

@@ -14,6 +14,10 @@ checkpoint-restored, and ``merge``-of-shards -- must agree:
   grids differ per-draw; their *estimates* must still sit within
   ``eps * L2`` of truth, with ``eps = sqrt(8 / (w p))`` implied by the
   sketch's actual width and sampling probability.
+
+The live auditor is held to the same standard: its one-array-pass
+:meth:`~repro.telemetry.audit.ShadowAuditor.audit` must report exactly
+what the per-flow loop it replaced reports.
 """
 
 from __future__ import annotations
@@ -24,11 +28,18 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.control.export import deserialize_monitor, serialize_monitor
+from repro.core import nitro_countmin
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.nitro import NitroSketch
+from repro.hashing import key_array
+from repro.metrics.accuracy import relative_error
+from repro.sketches.base import Monitor
 from repro.sketches.countmin import ConservativeCountMinSketch, CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kary import KArySketch
+from repro.telemetry import Telemetry
+from repro.telemetry.anomaly import ddos_onset_trace
+from repro.telemetry.audit import AuditReport, ShadowAuditor
 from repro.traffic.traces import Trace, caida_like
 from repro.verify.result import CheckResult
 
@@ -363,6 +374,167 @@ def check_nitro_estimate_envelope(
     return results
 
 
+def reference_audit(auditor: ShadowAuditor, monitor) -> AuditReport:
+    """The per-flow audit loop the vectorised ``audit`` replaced.
+
+    Errors by :func:`~repro.metrics.accuracy.relative_error`, one key at
+    a time in reservoir order; percentiles by nearest rank into
+    ``sorted``; the worst key by a strict ``>`` scan.
+    """
+    keys = list(auditor.truth)
+    estimates = monitor.query_batch(key_array(keys)).tolist() if keys else []
+    rel: List[float] = []
+    abs_errors: List[float] = []
+    worst_key, worst_abs = None, -1.0
+    for key, estimate in zip(keys, estimates):
+        true = auditor.truth[key]
+        rel.append(relative_error(estimate, true))
+        error = abs(estimate - true)
+        abs_errors.append(error)
+        if error > worst_abs:
+            worst_key, worst_abs = key, error
+    ordered = sorted(rel)
+
+    def percentile(fraction: float) -> float:
+        if not ordered:
+            return 0.0
+        count = len(ordered)
+        return ordered[min(count - 1, max(0, int(math.ceil(fraction * count)) - 1))]
+
+    return AuditReport(
+        tracked_flows=len(keys),
+        total_weight=auditor.total_weight,
+        mean_relative_error=sum(rel) / len(rel) if rel else 0.0,
+        p50_relative_error=percentile(0.50),
+        p90_relative_error=percentile(0.90),
+        p99_relative_error=percentile(0.99),
+        max_relative_error=ordered[-1] if ordered else 0.0,
+        mean_absolute_error=sum(abs_errors) / len(abs_errors) if abs_errors else 0.0,
+        max_absolute_error=max(abs_errors) if abs_errors else 0.0,
+        worst_key=worst_key,
+    )
+
+
+class _QueryOnlyMonitor(Monitor):
+    """A monitor that defines only ``query`` (default ``query_batch``)."""
+
+    def __init__(self, sketch) -> None:
+        self.sketch = sketch
+
+    def update_batch(self, keys, weights=None, duration_seconds=None) -> None:
+        self.sketch.update_batch(keys, weights)
+
+    def query(self, key: int) -> float:
+        return self.sketch.query(key)
+
+
+#: Exported audit gauge ``(name, stat label)`` -> the AuditReport field.
+_AUDIT_GAUGES = {
+    ("audit_tracked_flows", None): "tracked_flows",
+    ("audit_total_weight", None): "total_weight",
+    ("audit_absolute_error", "mean"): "mean_absolute_error",
+    ("audit_absolute_error", "max"): "max_absolute_error",
+}
+_AUDIT_GAUGES.update(
+    {("audit_relative_error", stat): "%s_relative_error" % stat
+     for stat in ("mean", "p50", "p90", "p99", "max")}
+)
+
+
+def check_audit_against_loop(packets: int = 4_000, seed: int = 0) -> CheckResult:
+    """``ShadowAuditor.audit`` must equal the per-flow loop, field for field.
+
+    Every ``AuditReport`` field (value and Python type) and every
+    exported audit gauge are compared with ``==`` after each of four
+    ingest chunks, over CAIDA-like and DDoS-onset traces; keys as
+    generated, negated into negative int64, and spread over both halves
+    of the uint64 range; unit weights, random weights, and random
+    weights with one reservoir flow at zero weight; and Nitro Count
+    Sketch, Nitro Count-Min and a monitor that defines only ``query``.
+    Estimates stay finite here; NaN and inf have their own unit tests.
+    """
+    name = "differential.audit_vs_loop"
+    rng = np.random.default_rng(seed)
+    base = {
+        "caida": _default_trace(packets, seed).keys,
+        "ddos": ddos_onset_trace(packets, seed=seed).keys,
+    }
+    streams = {}
+    for trace, keys in base.items():
+        streams[trace] = keys
+        streams[trace + "/negative"] = -keys - 1
+        # An odd multiplier is a bijection on 64 bits: distinct flows stay
+        # distinct and spread over both halves of the uint64 range.
+        streams[trace + "/uint64"] = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    monitors = {
+        "nitro_countsketch": lambda: NitroSketch(
+            CountSketch(5, 512, seed), NitroConfig(probability=0.25, top_k=16, seed=seed)
+        ),
+        "nitro_countmin": lambda: nitro_countmin(
+            depth=4, width=512, probability=0.25, top_k=16, seed=seed
+        ),
+        "query_only": lambda: _QueryOnlyMonitor(CountMinSketch(4, 256, seed)),
+    }
+    rounds = 0
+    for stream, keys in streams.items():
+        random_weights = rng.integers(1, 64, len(keys)).astype(np.float64)
+        # Reservoir membership depends on the key alone, so any flow a
+        # unit-weight pass tracks is tracked under every weighting.
+        probe = ShadowAuditor(capacity=64, seed=seed)
+        probe.observe_batch(keys)
+        zeroed = random_weights.copy()
+        zeroed[keys == next(iter(probe.truth))] = 0.0
+        for weighting, weights in (
+            ("unit", None),
+            ("random", random_weights),
+            ("zero_flow", zeroed),
+        ):
+            for label, build in monitors.items():
+                monitor = build()
+                telemetry = Telemetry()
+                auditor = ShadowAuditor(capacity=64, seed=seed, telemetry=telemetry)
+                bounds = np.linspace(0, len(keys), 5).astype(int)
+                for start, stop in zip(bounds[:-1], bounds[1:]):
+                    chunk_weights = None if weights is None else weights[start:stop]
+                    monitor.update_batch(keys[start:stop], chunk_weights)
+                    auditor.observe_batch(keys[start:stop], chunk_weights)
+                    report = auditor.audit(monitor)
+                    expected = reference_audit(auditor, monitor)
+                    rounds += 1
+                    where = "%s, %s weights, %s, round %d" % (
+                        stream, weighting, label, rounds
+                    )
+                    for field, want in expected.as_dict().items():
+                        got = getattr(report, field)
+                        if got != want or type(got) is not type(want):
+                            return CheckResult.fail(
+                                name,
+                                "%s: %s reads %r, the per-flow loop %r"
+                                % (where, field, got, want),
+                            )
+                    for (metric, stat), field in _AUDIT_GAUGES.items():
+                        family = telemetry.registry.get(metric)
+                        exported = [
+                            child.value
+                            for values, child in family.children()
+                            if family.label_dict(values).get("stat") == stat
+                        ]
+                        if exported != [getattr(expected, field)]:
+                            return CheckResult.fail(
+                                name,
+                                "%s: gauge %s{stat=%s} reads %r, the per-flow "
+                                "loop %r" % (where, metric, stat, exported,
+                                             getattr(expected, field)),
+                            )
+    return CheckResult.ok(
+        name,
+        "vectorised audit equals the per-flow loop in all %d rounds "
+        "(%d streams x 3 weightings x %d monitors)"
+        % (rounds, len(streams), len(monitors)),
+        rounds=float(rounds),
+    )
+
+
 def run_differential_checks(quick: bool = False, seed: int = 0) -> List[CheckResult]:
     """The full differential suite (scaled down under ``quick``)."""
     packets = 2_000 if quick else 4_000
@@ -372,6 +544,7 @@ def run_differential_checks(quick: bool = False, seed: int = 0) -> List[CheckRes
         check_merge_of_shards(packets=packets, seed=seed),
         check_checkpoint_roundtrip(packets=packets, seed=seed),
         check_reset_equivalence(packets=packets, seed=seed),
+        check_audit_against_loop(packets=packets, seed=seed),
     ]
     results.extend(check_nitro_estimate_envelope(packets=envelope_packets, seed=seed))
     return results

@@ -22,18 +22,126 @@ import numpy as np
 import pytest
 
 from repro.analysis.theory import l1_error_bound, l2_error_bound
+from repro.control.windows import SlidingWindowMonitor
 from repro.core import NitroSketch, nitro_countmin
-from repro.core.config import P_MIN
+from repro.core.config import P_MIN, NitroConfig
 from repro.metrics.opcount import OpCounter
 from repro.sketches import CountMinSketch, CountSketch, Monitor
+from repro.sketches.tracked import TrackedSketch
 from repro.switchsim import MeasurementDaemon, SwitchSimulator, VPPPipeline
 from repro.telemetry import AlertManager, Telemetry, TelemetryServer, ThresholdRule
 from repro.telemetry.audit import AuditReport, GuaranteeMonitor, ShadowAuditor
 from repro.telemetry.dashboard import SnapshotSource, TopLoop, render_dashboard
 from repro.telemetry.alerts import AlertRule, labelset_key, metric_value
+from repro.telemetry.anomaly import SketchAnomalyDetectors
+from repro.telemetry.notify import MemorySink
 from repro.telemetry.health import health_rules
 from repro.traffic import caida_like
 from repro.traffic.replay import Batch
+
+
+def _full_range_stream(n_flows: int = 50, seed: int = 4):
+    """Flows from the whole uint64 range, flow i carrying 100 + i packets."""
+    rng = np.random.default_rng(seed)
+    flows = rng.integers(0, 2**64, n_flows, dtype=np.uint64, endpoint=False)
+    assert (flows >= 2**63).any() and (flows < 2**63).any()
+    counts = {int(flow): 100 + index for index, flow in enumerate(flows)}
+    keys = np.repeat(flows, 100 + np.arange(n_flows))
+    rng.shuffle(keys)
+    return keys, counts
+
+
+def _full_range_nitro(top_k: int = 20) -> NitroSketch:
+    return NitroSketch(CountSketch(5, 4096, 1), NitroConfig(probability=1.0, top_k=top_k, seed=1))
+
+
+def _audit_full_range():
+    keys, counts = _full_range_stream()
+    monitor = nitro_countmin(probability=1.0, seed=1)
+    monitor.update_batch(keys)
+    assert all(monitor.query(key) == count for key, count in counts.items())
+    guard = GuaranteeMonitor(ShadowAuditor(capacity=64, seed=1), monitor)
+    guard.observe_batch(keys)
+    report = guard.check()
+    assert report.audit.tracked_flows == len(counts)
+    assert report.audit.mean_relative_error == 0.0
+    assert report.audit.max_absolute_error == 0.0
+    assert report.audit.worst_key in counts
+    assert not report.violated
+
+
+def _shrink_full_range(scalar: bool):
+    keys = np.arange(1_000, dtype=np.uint64) + np.uint64(2**63)
+    auditor = ShadowAuditor(capacity=16, seed=1)
+    if scalar:
+        for key in keys.tolist():
+            auditor.observe(key)
+    else:
+        auditor.observe_batch(keys)
+    assert 0 < auditor.tracked_flows <= 16 and auditor.sample_rate < 1.0
+    assert all(key >= 2**63 and count == 1.0 for key, count in auditor.truth.items())
+
+
+def _assert_exact_hitters(hitters, counts):
+    assert len(hitters) == 20
+    assert all(estimate == counts[key] for key, estimate in hitters)
+
+
+def _nitro_heavy_hitters():
+    keys, counts = _full_range_stream()
+    monitor = _full_range_nitro()
+    monitor.update_batch(keys)
+    _assert_exact_hitters(monitor.heavy_hitters(100), counts)
+
+
+def _nitro_merge():
+    keys, counts = _full_range_stream()
+    merged, other = _full_range_nitro(), _full_range_nitro()
+    merged.update_batch(keys[: len(keys) // 2])
+    other.update_batch(keys[len(keys) // 2 :])
+    merged.merge(other)
+    # The merge re-offers every tracked key with its post-merge estimate.
+    assert len(merged.topk) == 20
+    assert all(estimate == counts[key] for key, estimate in merged.topk.items())
+
+
+def _tracked_heavy_hitters():
+    keys, counts = _full_range_stream()
+    monitor = TrackedSketch(CountSketch(5, 4096, 1), k=20)
+    monitor.update_batch(keys)
+    _assert_exact_hitters(monitor.heavy_hitters(100), counts)
+
+
+def _window_heavy_hitters():
+    keys, counts = _full_range_stream()
+    window = SlidingWindowMonitor(_full_range_nitro, window_epochs=2)
+    window.update_batch(keys)
+    _assert_exact_hitters(window.heavy_hitters(100), counts)
+
+
+def _anomaly_estimates():
+    keys, counts = _full_range_stream()
+    monitor = _full_range_nitro(top_k=32)
+    monitor.update_batch(keys)
+    detectors = SketchAnomalyDetectors(top_candidates=16)
+    assert detectors.observe_epoch(monitor, len(keys)) is not None
+    estimates = detectors._prev_epoch_estimates
+    assert len(estimates) == 16
+    assert all(estimate == counts[key] for key, estimate in estimates.items())
+
+
+#: Every place a Python key list becomes a key array, driven with flows
+#: drawn from both halves of the uint64 range.
+_FULL_RANGE_PATHS = {
+    "audit": _audit_full_range,
+    "audit-shrink-batch": lambda: _shrink_full_range(scalar=False),
+    "audit-shrink-scalar": lambda: _shrink_full_range(scalar=True),
+    "nitro-heavy-hitters": _nitro_heavy_hitters,
+    "nitro-merge": _nitro_merge,
+    "tracked-heavy-hitters": _tracked_heavy_hitters,
+    "window-heavy-hitters": _window_heavy_hitters,
+    "anomaly-estimates": _anomaly_estimates,
+}
 
 
 def _make_batch(keys) -> Batch:
@@ -112,18 +220,12 @@ class TestShadowAuditor:
         with pytest.raises(ValueError):
             ShadowAuditor(capacity=0)
 
-    def test_audits_uint64_keys_above_int64(self):
-        """Regression: the audit's query array was cast to int64, so a
-        key of 2**63 or more raised OverflowError."""
-        keys = np.full(1_000, 2**63 + 12_345, dtype=np.uint64)
-        monitor = nitro_countmin(probability=0.5, seed=1)
-        monitor.update_batch(keys)
-        auditor = ShadowAuditor(capacity=64, seed=1)
-        auditor.observe_batch(keys)
-        report = auditor.audit(monitor)
-        assert report.tracked_flows == 1
-        assert report.worst_key == 2**63 + 12_345
-        assert report.max_relative_error < 0.5
+    @pytest.mark.parametrize("path", sorted(_FULL_RANGE_PATHS))
+    def test_audits_uint64_keys_above_int64(self, path):
+        """Regression: key lists spanning both halves of the uint64 range
+        became float64 arrays (so hashed as other flows), and int64 casts
+        of keys >= 2**63 raised OverflowError."""
+        _FULL_RANGE_PATHS[path]()
 
     def test_audit_reports_exact_match_as_zero_error(self):
         class PerfectMonitor(Monitor):
@@ -256,6 +358,72 @@ class TestGuaranteeMonitor:
         assert guard.checks == 0
         assert guard.violations == 0
         assert guard.auditor.total_weight == 0.0
+
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_nan_estimate_reads_as_violation(self, position):
+        """Regression: a NaN estimate read clean (ratio NaN at reservoir
+        position 0, ratio 0.0 further in); it is an unbounded error."""
+        telemetry = Telemetry()
+        auditor = ShadowAuditor(capacity=64, seed=2, telemetry=telemetry)
+        auditor.observe_batch(caida_like(5_000, n_flows=500, seed=2).keys)
+        corrupted = list(auditor.truth)[position]
+        truth = dict(auditor.truth)
+
+        class CorruptedMonitor(Monitor):
+            def query(self, key):
+                return math.nan if key == corrupted else truth[key]
+
+        guard = GuaranteeMonitor(
+            auditor, CorruptedMonitor(), epsilon=0.1, guarantee="l1"
+        )
+        report = guard.check()
+        assert report.violated and report.ratio == math.inf
+        assert report.audit.worst_key == corrupted
+        assert report.audit.max_absolute_error == math.inf
+        assert report.audit.max_relative_error == math.inf
+        assert report.audit.mean_relative_error == math.inf
+        [event] = telemetry.tracer.events("audit.violation")
+        assert event.fields["worst_key"] == corrupted
+
+    def test_non_finite_alert_values_stay_strict_json(self):
+        """Regression: an inf ratio left the alert plane as a bare
+        ``Infinity`` token in every JSON output."""
+
+        def reject(token):
+            raise ValueError("non-standard JSON token %s" % token)
+
+        def strict(text):
+            return json.loads(text, parse_constant=reject)
+
+        telemetry = Telemetry()
+        auditor = ShadowAuditor(seed=0, telemetry=telemetry)
+
+        class WrongMonitor(Monitor):
+            def query(self, key):
+                return math.inf
+
+        guard = GuaranteeMonitor(auditor, WrongMonitor(), epsilon=0.5, guarantee="l1")
+        guard.observe(7, weight=100.0)
+        guard.check()
+        sink = MemorySink()
+        manager = AlertManager(
+            telemetry,
+            [ThresholdRule("margin", "audit_bound_ratio", 0.8, op=">")],
+            sinks=[sink],
+        )
+        manager.evaluate()
+        assert [state.value for state in manager.firing()] == [math.inf]
+        for line in manager.transitions_jsonl().splitlines():
+            assert strict(line)["value"] == "+Inf"
+        assert strict(json.dumps(manager.as_dict()))["firing"][0]["value"] == "+Inf"
+        [notification] = sink.notifications
+        assert strict(json.dumps(notification.as_dict()))["value"] == "+Inf"
+        events = {}
+        for line in telemetry.tracer.to_jsonl().splitlines():
+            event = strict(line)
+            events[event["name"]] = event["fields"]
+        assert events["alert.transition"]["value"] == "+Inf"
+        assert events["audit.violation"]["observed"] == "+Inf"
 
 
 # -- Seeded property test: bound holds on clean runs, breaks when corrupted -

@@ -14,6 +14,7 @@ from repro.hashing.families import (
     PairwiseHash,
     SignHash,
     derive_seeds,
+    key_array,
     make_hash_pairs,
 )
 
@@ -168,3 +169,25 @@ class TestDeriveSeeds:
 
     def test_count(self):
         assert len(derive_seeds(1, 7)) == 7
+
+
+class TestKeyArray:
+    def test_int64_when_every_key_fits(self):
+        keys = key_array([-5, 0, 2**63 - 1])
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [-5, 0, 2**63 - 1]
+
+    def test_uint64_across_both_halves(self):
+        """np.asarray makes this list float64; the keys must stay exact."""
+        keys = key_array([1, 2**63, 2**64 - 1])
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [1, 2**63, 2**64 - 1]
+
+    def test_empty_is_int64(self):
+        keys = key_array([])
+        assert keys.dtype == np.int64 and len(keys) == 0
+
+    @pytest.mark.parametrize("keys", [[-1, 2**63], [2**64]])
+    def test_keys_no_64_bit_dtype_holds_raise(self, keys):
+        with pytest.raises(ValueError):
+            key_array(keys)
