@@ -214,7 +214,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_telemetry(args) -> int:
-    from repro.telemetry import Telemetry, Tracer
+    from repro.telemetry import SpanTracer, Telemetry
     from repro.telemetry.demo import run_demo, validate
 
     if not args.demo and not args.serve:
@@ -224,7 +224,7 @@ def cmd_telemetry(args) -> int:
         print("telemetry: --trace-capacity must be >= 1", file=sys.stderr)
         return 2
 
-    telemetry = Telemetry(tracer=Tracer(capacity=args.trace_capacity))
+    telemetry = Telemetry(spans=SpanTracer(capacity=args.trace_capacity))
     if args.demo:
         summary = run_demo(telemetry, packets=args.packets, seed=args.seed)
         print(
@@ -251,8 +251,8 @@ def cmd_telemetry(args) -> int:
         print(body, end="")
 
     if args.trace_out:
-        count = telemetry.tracer.write_jsonl(args.trace_out)
-        print("wrote %d events to %s" % (count, args.trace_out), file=sys.stderr)
+        count = telemetry.spans.write_jsonl(args.trace_out)
+        print("wrote %d spans to %s" % (count, args.trace_out), file=sys.stderr)
 
     if args.serve:
         from repro.telemetry import AlertManager, TelemetryServer
@@ -773,7 +773,7 @@ def cmd_profile(args) -> int:
             history=history,
         ).start()
         print(
-            "serving /metrics /snapshot /trace /spans /history /health on "
+            "serving /metrics /snapshot /trace /history /health on "
             "http://%s:%d (Ctrl-C to stop)" % (args.host, server.port),
             file=sys.stderr,
         )
@@ -935,10 +935,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry.add_argument("--out", default=None, help="snapshot path (default stdout)")
     telemetry.add_argument(
-        "--trace-out", default=None, help="write the JSONL event trace here"
+        "--trace-out", default=None, help="write the JSONL trace (spans and events) here"
     )
     telemetry.add_argument(
-        "--trace-capacity", type=int, default=4096, help="event ring-buffer size"
+        "--trace-capacity", type=int, default=4096, help="trace ring-buffer size"
     )
     telemetry.add_argument(
         "--serve", action="store_true", help="serve /metrics /snapshot /trace over HTTP"
@@ -1102,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--history-capacity", type=int, default=512)
     profile.add_argument(
         "--serve", action="store_true",
-        help="serve /metrics /snapshot /trace /spans /history /health after the run",
+        help="serve /metrics /snapshot /trace /history /health after the run",
     )
     profile.add_argument("--host", default="127.0.0.1")
     profile.add_argument("--port", type=int, default=9109)

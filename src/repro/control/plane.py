@@ -87,7 +87,7 @@ class ControlPlane:
         for epoch, start in enumerate(range(0, len(trace), epoch_packets)):
             stop = min(start + epoch_packets, len(trace))
             epoch_trace = trace.slice(start, stop)
-            with telemetry.span("control_epoch_seconds"):
+            with telemetry.timer("control_epoch_seconds"):
                 monitor = self.monitor_factory(epoch)
                 monitor.telemetry = telemetry
                 monitor.update_batch(epoch_trace.keys)
@@ -110,7 +110,7 @@ class ControlPlane:
         epoch_report = EpochReport(epoch=epoch, packets=len(epoch_trace))
         truth = epoch_trace.counts() if self.score else None
         for task in self.tasks:
-            with telemetry.span("control_task_seconds", task=task.name):
+            with telemetry.timer("control_task_seconds", task=task.name):
                 report = task.evaluate(monitor, len(epoch_trace))
                 if truth is not None:
                     report = task.score(report, truth)

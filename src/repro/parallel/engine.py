@@ -742,7 +742,6 @@ class ParallelIngestEngine:
         final_metas: List[Optional[Dict[str, Any]]] = [None] * self.workers
         merged = None
         trace_parts = self._trace_parts(n_packets)
-        span_sink = getattr(self.telemetry, "spans", None)
         try:
             for epoch in range(n_epochs):
                 trace_id = make_trace_id(*trace_parts, epoch)
@@ -763,8 +762,10 @@ class ParallelIngestEngine:
                         if meta.get("final"):
                             final_metas[worker] = meta
                         trace_block = meta.get("trace")
-                        if span_sink is not None and isinstance(trace_block, dict):
-                            span_sink.record_dicts(trace_block.get("spans", ()))
+                        if isinstance(trace_block, dict):
+                            self.telemetry.spans.record_dicts(
+                                trace_block.get("spans", ())
+                            )
                     merge_span = epoch_span.child(
                         "merge",
                         span_id=make_span_id(trace_id, "merge"),

@@ -200,7 +200,7 @@ class MeasurementDaemon:
             # without the other (batch/packet ratios feed health rules).
             telemetry.count("daemon_batches_total", daemon=self.name)
             telemetry.count("daemon_packets_total", len(batch), daemon=self.name)
-        with telemetry.span("daemon_ingest_seconds", daemon=self.name):
+        with telemetry.timer("daemon_ingest_seconds", daemon=self.name):
             self._ingest_inner(batch)
         if self.auditor is not None:
             self.auditor.observe_batch(batch.keys)

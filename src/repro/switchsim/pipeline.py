@@ -71,7 +71,7 @@ class DPDKForwarder(SwitchPipeline):
         count = len(batch)
         ops.packet(count)
         self.telemetry.count("pipeline_batches_total", platform=self.name)
-        with self.telemetry.span(
+        with self.telemetry.timer(
             "pipeline_stage_seconds", platform=self.name, stage="l2fwd"
         ):
             ops.fixed(self.PER_PACKET_CYCLES * count)
@@ -183,7 +183,7 @@ class OVSDPDKPipeline(SwitchPipeline):
             self.emc_misses,
             self.upcalls,
         )
-        with telemetry.span(
+        with telemetry.timer(
             "pipeline_stage_seconds", platform=self.name, stage="datapath"
         ):
             ops.fixed(
@@ -337,7 +337,7 @@ class VPPPipeline(SwitchPipeline):
         telemetry = self.telemetry
         telemetry.count("pipeline_batches_total", platform=self.name)
         for node in self.nodes:
-            with telemetry.span(
+            with telemetry.timer(
                 "pipeline_stage_seconds", platform=self.name, stage=node.name
             ):
                 node.process(batch, ops)
@@ -418,7 +418,7 @@ class BESSPipeline(SwitchPipeline):
         telemetry = self.telemetry
         telemetry.count("pipeline_batches_total", platform=self.name)
         for module in self.modules:
-            with telemetry.span(
+            with telemetry.timer(
                 "pipeline_stage_seconds", platform=self.name, stage=module.name
             ):
                 module.process(batch, ops)

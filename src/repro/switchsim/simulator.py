@@ -87,7 +87,7 @@ class SwitchSimulator:
         self.nic = nic
         self.telemetry = telemetry
         # Fan the sink out so pipeline stages and the daemon's monitor
-        # all record into the same registry/tracer.
+        # all record into the same registry and trace ring.
         if telemetry is not NULL_TELEMETRY:
             pipeline.telemetry = telemetry
             if daemon is not None:

@@ -8,8 +8,10 @@ post-hoc :class:`~repro.metrics.opcount.OpCounter` totals:
 
 * :mod:`repro.telemetry.registry` -- labeled counters, gauges and
   log-bucketed histograms (:class:`MetricsRegistry`);
-* :mod:`repro.telemetry.tracer` -- a bounded ring buffer of structured
-  events with JSONL export (:class:`Tracer`);
+* :mod:`repro.telemetry.spans` -- the one trace ring
+  (:class:`SpanTracer`): spans with deterministic ids that cross process
+  boundaries and reassemble into per-epoch trees, and structured events
+  recorded as zero-duration spans inside them, with JSONL export;
 * :mod:`repro.telemetry.exposition` -- Prometheus text format, JSON
   snapshots, and an optional stdlib HTTP endpoint;
 * :mod:`repro.telemetry.audit` -- live accuracy auditing: a shadow
@@ -22,9 +24,6 @@ post-hoc :class:`~repro.metrics.opcount.OpCounter` totals:
   :class:`AlertManager` over it answers the server's ``/health`` route;
 * :mod:`repro.telemetry.dashboard` -- the ``nitrosketch top`` live
   terminal dashboard;
-* :mod:`repro.telemetry.spans` -- cross-process distributed-tracing
-  spans with deterministic ids (:class:`SpanTracer`), reassembled into
-  per-epoch trees spanning the multi-process data plane;
 * :mod:`repro.telemetry.profile` -- the sampled per-stage latency
   profiler (:class:`~repro.telemetry.profile.StageProfiler`) with
   histogram quantiles and flamegraph-compatible collapsed stacks;
@@ -42,8 +41,8 @@ post-hoc :class:`~repro.metrics.opcount.OpCounter` totals:
   heavy-hitter churn) feeding the alert rules.  Imported lazily (it
   needs NumPy).
 
-The :class:`Telemetry` facade bundles one registry and one tracer and is
-what instrumented components hold.  Mirroring the ``NullOps`` pattern of
+The :class:`Telemetry` facade bundles one registry and one trace ring and
+is what instrumented components hold.  Mirroring the ``NullOps`` pattern of
 :mod:`repro.metrics.opcount`, the default sink everywhere is
 :data:`NULL_TELEMETRY` -- a stateless no-op whose calls cost one Python
 method dispatch, so accuracy-only paths pay (almost) nothing.  Attach a
@@ -55,6 +54,7 @@ See ``docs/OBSERVABILITY.md`` for the metric and event catalogue.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, Optional, Sequence
 
@@ -65,7 +65,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     log_buckets,
 )
-from repro.telemetry.tracer import TraceEvent, Tracer, parse_jsonl, read_jsonl
 from repro.telemetry.spans import (
     NULL_ACTIVE_SPAN,
     Span,
@@ -150,7 +149,7 @@ METRIC_HELP: Dict[str, str] = {
     "checkpoint_last_sequence": "Sequence number of the newest checkpoint written.",
     "checkpoint_size_bytes": "Size of the newest checkpoint frame.",
     "daemon_checkpoint_age_batches": "Batches ingested since the daemon's last checkpoint.",
-    "tracer_dropped_events_total": "Trace events evicted from the ring buffer.",
+    "tracer_dropped_events_total": "Spans and events evicted from the trace ring.",
     "stage_seconds": "Wall-clock time per profiled ingest-pipeline stage.",
     "parallel_workers": "Worker processes in the last parallel run.",
     "parallel_host_cpus": "Host CPU count seen by the parallel engine.",
@@ -204,28 +203,38 @@ METRIC_HELP: Dict[str, str] = {
 }
 
 
-class _Span:
+class _Timer:
     """Times a block and records it into a histogram on exit."""
 
-    __slots__ = ("_telemetry", "_name", "_labels", "_start")
+    __slots__ = ("_telemetry", "_name", "_buckets", "_labels", "_start")
 
-    def __init__(self, telemetry: "Telemetry", name: str, labels: Dict[str, str]) -> None:
+    def __init__(
+        self,
+        telemetry: "Telemetry",
+        name: str,
+        buckets: Optional[Sequence[float]],
+        labels: Dict[str, str],
+    ) -> None:
         self._telemetry = telemetry
         self._name = name
+        self._buckets = buckets
         self._labels = labels
 
-    def __enter__(self) -> "_Span":
+    def __enter__(self) -> "_Timer":
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._telemetry.observe(
-            self._name, time.perf_counter() - self._start, **self._labels
+            self._name,
+            time.perf_counter() - self._start,
+            buckets=self._buckets,
+            **self._labels,
         )
 
 
 class Telemetry:
-    """One registry + one tracer: the sink instrumented components hold.
+    """One registry + one trace ring: the sink instrumented components hold.
 
     All methods are dynamic-name conveniences over the registry --
     families are created on first use with canonical help text from
@@ -239,14 +248,13 @@ class Telemetry:
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         spans: Optional[SpanTracer] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
-        #: The span recorder behind :meth:`start_span` and ``/spans``.
+        #: The trace ring behind :meth:`start_span`, :meth:`event` and
+        #: ``/trace``; its evictions count as ``tracer_dropped_events_total``.
         self.spans = spans if spans is not None else SpanTracer()
-        self._tracer_dropped_seen = self.tracer.dropped
+        self.spans.on_evict = functools.partial(self.count, "tracer_dropped_events_total")
 
     # -- metrics ------------------------------------------------------------
 
@@ -288,28 +296,18 @@ class Telemetry:
         """
         return self.registry.lock
 
-    def span(self, name: str, **labels) -> _Span:
+    def timer(
+        self, name: str, buckets: Optional[Sequence[float]] = None, **labels
+    ) -> _Timer:
         """Context manager timing a block into histogram ``name``."""
-        return _Span(self, name, labels)
+        return _Timer(self, name, buckets, labels)
 
-    # -- events -------------------------------------------------------------
+    # -- trace --------------------------------------------------------------
 
     def event(self, name: str, **fields) -> None:
-        """Record one structured event into the tracer ring.
-
-        Ring evictions are surfaced as the ``tracer_dropped_events_total``
-        counter -- silent drops would otherwise be invisible until
-        someone noticed a hole in an exported trace.
-        """
-        self.tracer.record(name, **fields)
-        dropped = self.tracer.dropped
-        if dropped != self._tracer_dropped_seen:
-            delta = dropped - self._tracer_dropped_seen
-            self._tracer_dropped_seen = dropped
-            if delta > 0:
-                self.count("tracer_dropped_events_total", delta)
-
-    # -- spans --------------------------------------------------------------
+        """Record one structured event: a zero-duration span in the ring,
+        child of the innermost span open on this thread."""
+        self.spans.record_event(name, fields)
 
     def start_span(
         self,
@@ -343,25 +341,17 @@ class Telemetry:
         return render_prometheus(self.registry)
 
     def render_json(self) -> str:
-        return render_json(self.registry, self.tracer)
+        return render_json(self.registry, self.spans)
 
     def snapshot(self) -> Dict:
-        return snapshot(self.registry, self.tracer)
+        return snapshot(self.registry, self.spans)
 
 
-class _NullSpan:
-    """Shared do-nothing context manager (no clock reads)."""
+class _NullSpanTracer(SpanTracer):
+    """A trace ring that stays empty: every record is dropped uncounted."""
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
+    def _append(self, span: Span) -> bool:
+        return False
 
 
 class NullTelemetry:
@@ -370,11 +360,15 @@ class NullTelemetry:
     The default ``telemetry`` attribute everywhere, mirroring
     :class:`repro.metrics.opcount.NullOps`: accuracy-only paths pay one
     no-op method call per hook and nothing else (no clock reads, no
-    allocation beyond the kwargs dict).
+    allocation beyond the kwargs dict).  Its ``registry`` and ``spans``
+    are an empty registry and an empty ring that the no-op writers never
+    fill, so a server over it answers every route with empty content.
     """
 
     __slots__ = ()
     enabled = False
+    registry = MetricsRegistry()
+    spans = _NullSpanTracer()
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         pass
@@ -385,11 +379,11 @@ class NullTelemetry:
     def observe(self, name: str, value: float, buckets=None, **labels) -> None:
         pass
 
-    def span(self, name: str, **labels) -> _NullSpan:
-        return _NULL_SPAN
+    def timer(self, name: str, buckets=None, **labels):
+        return NULL_ACTIVE_SPAN
 
-    def atomic(self) -> _NullSpan:
-        return _NULL_SPAN
+    def atomic(self):
+        return NULL_ACTIVE_SPAN
 
     def event(self, name: str, **fields) -> None:
         pass
@@ -434,15 +428,11 @@ __all__ = [
     "SpanTracer",
     "Telemetry",
     "TelemetryServer",
-    "TraceEvent",
-    "Tracer",
     "build_trace_tree",
     "log_buckets",
     "make_span_id",
     "make_trace_id",
-    "parse_jsonl",
     "parse_spans_jsonl",
-    "read_jsonl",
     "render_json",
     "render_prometheus",
     "render_span_tree",

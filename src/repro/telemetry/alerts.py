@@ -32,7 +32,7 @@ Semantics follow Prometheus/Alertmanager where they exist:
   once per firing/resolved transition and re-notifies a still-firing
   alert only every ``repeat_interval`` seconds.
 
-Every transition is recorded three ways: an ``alert.transition`` tracer
+Every transition is recorded three ways: an ``alert.transition`` trace
 event, an ``alerts_transitions_total{alertname,to}`` counter, and a
 bounded in-memory transition log exportable as JSONL (the golden-file
 format under ``tests/golden/``).  Current state is exported as the
@@ -55,8 +55,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.exposition import _json_value, snapshot as snapshot_of
+from repro.telemetry.exposition import snapshot as snapshot_of
 from repro.telemetry.notify import Notification, NotificationSink
+from repro.telemetry.registry import _json_value
 
 __all__ = [
     "ALERT_STATES",

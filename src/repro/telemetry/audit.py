@@ -24,7 +24,7 @@ that.  This module turns the guarantee into a live, alertable signal:
   (Count-Min-style) sketches, ``eps * L2`` via the median-row
   ``sum C^2`` AMS estimate for signed ones -- compares it against the
   observed worst absolute error, and emits ``audit.violation`` /
-  ``audit.drift`` tracer events when the guarantee breaks or the
+  ``audit.drift`` trace events when the guarantee breaks or the
   error/bound ratio trends up.
 
 Everything records through the usual :class:`~repro.telemetry.Telemetry`

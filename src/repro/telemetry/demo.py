@@ -345,9 +345,9 @@ def validate_alert_demo(
         problems.append("no firing notification for entropy_collapse")
     if not states["resolved"]:
         problems.append("no resolved notification for entropy_collapse")
-    if not telemetry.tracer.events("alert.transition"):
+    if not telemetry.spans.spans(name="alert.transition"):
         problems.append("missing trace event: alert.transition")
-    if not telemetry.tracer.events("anomaly.epoch"):
+    if not telemetry.spans.spans(name="anomaly.epoch"):
         problems.append("missing trace event: anomaly.epoch")
     webhook = summary.get("webhook_sink")
     if expect_webhook:
@@ -369,7 +369,7 @@ def validate_audit(telemetry, expect_violation: bool = False) -> List[str]:
     for name in REQUIRED_AUDIT_METRICS:
         if name not in telemetry.registry:
             problems.append("missing metric family: %s" % name)
-    violations = telemetry.tracer.events("audit.violation")
+    violations = telemetry.spans.spans(name="audit.violation")
     if expect_violation and not violations:
         problems.append("corrupted sketch did not fire audit.violation")
     if not expect_violation and violations:
@@ -386,9 +386,9 @@ def validate(telemetry) -> List[str]:
         if name not in telemetry.registry:
             problems.append("missing metric family: %s" % name)
     for name in REQUIRED_EVENTS:
-        if not telemetry.tracer.events(name):
+        if not telemetry.spans.spans(name=name):
             problems.append("missing trace event: %s" % name)
-    convergences = telemetry.tracer.events("nitro.convergence")
+    convergences = telemetry.spans.spans(name="nitro.convergence")
     if len(convergences) > 1:
         problems.append(
             "nitro.convergence fired %d times (expected once)" % len(convergences)

@@ -1,17 +1,17 @@
 """Exposition: Prometheus text format, JSON snapshots, HTTP endpoint.
 
-Three ways out of the registry/tracer:
+Three ways out of the registry and the trace ring:
 
 * :func:`render_prometheus` -- the Prometheus text exposition format
   (version 0.0.4): ``# HELP`` / ``# TYPE`` headers, one sample per line,
   histograms as cumulative ``_bucket{le=...}`` series plus ``_sum`` and
   ``_count``.
 * :func:`snapshot` -- a JSON-able dict of every family, sample and the
-  tracer's ring state; :func:`render_json` serialises it.
+  trace ring's state; :func:`render_json` serialises it.
 * :class:`TelemetryServer` / :func:`start_http_server` -- a stdlib
   ``http.server`` endpoint run in a daemon thread, serving ``/metrics``
-  (Prometheus), ``/snapshot`` (JSON), ``/trace`` (event JSONL),
-  ``/spans`` (span JSONL), ``/history`` (the attached
+  (Prometheus), ``/snapshot`` (JSON), ``/trace`` (the span ring, events
+  included, as JSONL), ``/history`` (the attached
   :class:`~repro.telemetry.history.HistoryStore` as JSON, filterable
   with ``?metric=name``), ``/alerts`` + ``/rules`` (when an
   :class:`~repro.telemetry.alerts.AlertManager` is attached) and
@@ -35,8 +35,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.tracer import Tracer, _json_value
+from repro.telemetry.registry import MetricsRegistry, _json_value
+from repro.telemetry.spans import SpanTracer
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -123,18 +123,18 @@ def _render_prometheus_locked(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def snapshot(registry: MetricsRegistry, tracer: Optional[Tracer] = None) -> Dict:
-    """A JSON-able snapshot of every metric (and the tracer's state).
+def snapshot(registry: MetricsRegistry, spans: Optional[SpanTracer] = None) -> Dict:
+    """A JSON-able snapshot of every metric (and the trace ring's state).
 
     Taken under the registry lock: concurrent writers either land wholly
     before or wholly after the snapshot, never halfway through a
     multi-metric update.
     """
     with registry.lock:
-        return _snapshot_locked(registry, tracer)
+        return _snapshot_locked(registry, spans)
 
 
-def _snapshot_locked(registry: MetricsRegistry, tracer: Optional[Tracer]) -> Dict:
+def _snapshot_locked(registry: MetricsRegistry, spans: Optional[SpanTracer]) -> Dict:
     metrics = {}
     for family in registry:
         samples = []
@@ -158,19 +158,20 @@ def _snapshot_locked(registry: MetricsRegistry, tracer: Optional[Tracer]) -> Dic
             "samples": samples,
         }
     payload = {"metrics": metrics}
-    if tracer is not None:
+    if spans is not None:
+        records = spans.spans()
         payload["trace"] = {
-            "capacity": tracer.capacity,
-            "buffered": len(tracer),
-            "recorded": tracer.recorded,
-            "dropped": tracer.dropped,
-            "events": [event.as_dict() for event in tracer.events()],
+            "capacity": spans.capacity,
+            "buffered": len(records),
+            "recorded": spans.recorded,
+            "dropped": spans.dropped,
+            "spans": [span.as_dict() for span in records],
         }
     return payload
 
 
-def render_json(registry: MetricsRegistry, tracer: Optional[Tracer] = None, indent: int = 2) -> str:
-    return json.dumps(snapshot(registry, tracer), indent=indent, sort_keys=True) + "\n"
+def render_json(registry: MetricsRegistry, spans: Optional[SpanTracer] = None, indent: int = 2) -> str:
+    return json.dumps(snapshot(registry, spans), indent=indent, sort_keys=True) + "\n"
 
 
 class TelemetryServer:
@@ -221,12 +222,9 @@ class TelemetryServer:
                     body = render_prometheus(outer.telemetry.registry)
                     self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
                 elif path == "/snapshot":
-                    body = render_json(outer.telemetry.registry, outer.telemetry.tracer)
+                    body = render_json(outer.telemetry.registry, outer.telemetry.spans)
                     self._reply(200, "application/json", body)
                 elif path == "/trace":
-                    body = outer.telemetry.tracer.to_jsonl()
-                    self._reply(200, "application/x-ndjson", body)
-                elif path == "/spans":
                     body = outer.telemetry.spans.to_jsonl()
                     self._reply(200, "application/x-ndjson", body)
                 elif path == "/history" and outer.history is not None:

@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, TextIO
 from urllib.parse import urlsplit
 
-from repro.telemetry.tracer import _json_value
+from repro.telemetry.registry import _json_value
 
 __all__ = [
     "Notification",

@@ -29,10 +29,10 @@ Reading the data back:
 from __future__ import annotations
 
 import math
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.telemetry.registry import HistogramChild, MetricsRegistry, log_buckets
+from repro.telemetry.spans import NULL_ACTIVE_SPAN
 
 __all__ = [
     "STAGES",
@@ -77,36 +77,6 @@ STAGE_METRIC = "stage_seconds"
 STAGE_BUCKETS: List[float] = log_buckets(2.0**-24, 0.25, factor=2.0)
 
 
-class _StageTimer:
-    """Context manager timing one stage of a sampled batch."""
-
-    __slots__ = ("_profiler", "_stage", "_t0")
-
-    def __init__(self, profiler: "StageProfiler", stage: str) -> None:
-        self._profiler = profiler
-        self._stage = stage
-
-    def __enter__(self) -> "_StageTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._profiler.observe(self._stage, time.perf_counter() - self._t0)
-
-
-class _NullStageTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullStageTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_STAGE_TIMER = _NullStageTimer()
-
-
 class StageProfiler:
     """Samples per-stage wall time into a telemetry sink.
 
@@ -138,6 +108,7 @@ class StageProfiler:
         self.telemetry = telemetry
         self.sample_every = sample_every
         self.component = component
+        self._labels = {"component": component} if component else {}
         self.active = False
         self.batches_seen = 0
         self.batches_profiled = 0
@@ -151,23 +122,20 @@ class StageProfiler:
         return self.active
 
     def stage(self, name: str):
-        """Timer for one stage; free when the batch is not sampled."""
+        """The sink's histogram timer for one stage; free when the batch
+        is not sampled."""
         if not self.active:
-            return _NULL_STAGE_TIMER
-        return _StageTimer(self, name)
+            return NULL_ACTIVE_SPAN
+        return self.telemetry.timer(
+            STAGE_METRIC, buckets=STAGE_BUCKETS, stage=name, **self._labels
+        )
 
     def observe(self, stage: str, seconds: float) -> None:
         """Record one stage duration unconditionally (epoch-grade stages
         -- checkpoint, merge, mailbox -- bypass batch sampling)."""
-        if self.component:
-            self.telemetry.observe(
-                STAGE_METRIC, seconds, buckets=STAGE_BUCKETS,
-                stage=stage, component=self.component,
-            )
-        else:
-            self.telemetry.observe(
-                STAGE_METRIC, seconds, buckets=STAGE_BUCKETS, stage=stage
-            )
+        self.telemetry.observe(
+            STAGE_METRIC, seconds, buckets=STAGE_BUCKETS, stage=stage, **self._labels
+        )
 
 
 class _NullProfiler:
@@ -182,7 +150,7 @@ class _NullProfiler:
         return False
 
     def stage(self, name: str):
-        return _NULL_STAGE_TIMER
+        return NULL_ACTIVE_SPAN
 
     def observe(self, stage: str, seconds: float) -> None:
         pass

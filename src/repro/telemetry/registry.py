@@ -24,6 +24,7 @@ never reach it at all (they run against
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from collections import OrderedDict
@@ -31,6 +32,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+
+def _json_value(value: float):
+    """A strictly-JSON-safe float.
+
+    ``json.dumps`` would otherwise emit bare ``Infinity`` / ``NaN``
+    tokens, which are not valid JSON; non-finite values are encoded as
+    their Prometheus text strings (``+Inf``, ``-Inf``, ``NaN``) instead.
+    """
+    if math.isfinite(value):
+        return value
+    if value != value:
+        return "NaN"
+    return "+Inf" if value > 0 else "-Inf"
 
 
 def log_buckets(start: float, stop: float, factor: float = 4.0) -> List[float]:

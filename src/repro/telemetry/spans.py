@@ -1,16 +1,31 @@
-"""Pipeline-wide tracing: spans that cross process boundaries.
+"""The trace model: one bounded ring of spans, events included.
 
-The event :class:`~repro.telemetry.tracer.Tracer` answers "what
-happened"; spans answer "where did the time go, and inside what".  A
-:class:`Span` is a named, timed interval with a trace id (one per
+Spans answer "what happened, where did the time go, and inside what".
+A :class:`Span` is a named, timed interval with a trace id (one per
 logical operation -- here, one per parallel-run epoch), a span id, and
 an optional parent span id, which is exactly the OpenTelemetry-style
-data model every tracing backend speaks.
+data model every tracing backend speaks.  An event is a zero-duration
+span: :meth:`SpanTracer.record_event` records one under the innermost span
+open on the calling thread (or, outside any span, under the constant
+:data:`EVENTS_TRACE_ID`), so a worker restart lands inside its epoch's
+tree.  The events this repository emits are the ones the paper's
+operational story turns on:
 
-The multi-core data plane makes this interesting: a single epoch's work
+* ``nitro.p_change`` -- the sampling probability moved (either adaptive
+  mode, or a reset);
+* ``nitro.convergence`` -- AlwaysCorrect's ``median_i sum_y C[i,y]^2 > T``
+  test crossed, with the packet index where it happened;
+* ``nitro.epoch`` -- an AlwaysLineRate 100 ms rate-measurement epoch
+  rolled over;
+* ``control.epoch`` / ``control.task`` -- the control plane evaluated an
+  epoch / one measurement task;
+* ``simulate.run`` / ``parallel.run`` -- a simulator or parallel run
+  completed.
+
+The multi-core data plane makes spans interesting: a single epoch's work
 is spread over the parent (spawn, frame await, CRC check, merge, task
 evaluation) and ``N`` worker processes (shard ingest, frame publish).
-Workers cannot share the parent's tracer, so propagation works the way
+Workers cannot share the parent's ring, so propagation works the way
 the NSKW epoch frames already do -- by value:
 
 * the parent derives one **deterministic** trace id per (run, epoch)
@@ -20,19 +35,24 @@ the NSKW epoch frames already do -- by value:
   state) and ships them in the ``spans`` list of its ``EpochFrame``
   metadata -- the NSKW v2 header grew a ``trace`` block for this;
 * the parent rebuilds :class:`Span` objects from the frame metadata and
-  records them into its own :class:`SpanTracer`, so ``/spans`` serves
+  records them into its own :class:`SpanTracer`, so ``/trace`` serves
   one coherent per-epoch tree spanning ingest -> mailbox publish -> CRC
   check -> merge -> task evaluation.
 
 Determinism matters for crash recovery: span ids are pure functions of
 (trace id, name, worker, epoch), so a respawned worker re-publishing an
 epoch produces the *same* ids as its dead predecessor -- the re-ingested
-epoch lands in the same tree instead of forking a new trace.
+epoch lands in the same tree instead of forking a new trace.  An
+event's id is a pure function of (trace id, name, the ring's recorded
+count), so a rerun of the same work records the same ids.
 
-Timestamps are wall-clock (``time.time``) so spans from different
-processes order correctly; durations are measured with
-``time.perf_counter`` within each process, so they do not suffer
-wall-clock steps.
+Timestamps are wall-clock (``time.time``, injectable for golden files)
+so spans from different processes order correctly; durations are
+measured with ``time.perf_counter`` within each process, so they do not
+suffer wall-clock steps.  Export is JSON Lines (one span per line,
+sorted keys); every line is strict JSON: a non-finite float field is
+written, and read back, as the string ``"+Inf"``, ``"-Inf"`` or
+``"NaN"``.
 """
 
 from __future__ import annotations
@@ -40,12 +60,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
+
+from repro.telemetry.registry import _json_value
 
 __all__ = [
+    "EVENTS_TRACE_ID",
     "Span",
     "SpanTracer",
     "ActiveSpan",
@@ -59,7 +83,7 @@ __all__ = [
 
 def _digest(prefix: bytes, parts) -> str:
     """16-hex-char stable id from ``parts`` (blake2b, 8 bytes)."""
-    payload = prefix + b"\x00".join(str(part).encode("utf-8") for part in parts)
+    payload = prefix + "\x00".join(map(str, parts)).encode("utf-8")
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
@@ -76,6 +100,10 @@ def make_trace_id(*parts) -> str:
 def make_span_id(trace_id: str, name: str, *parts) -> str:
     """A deterministic 16-hex span id scoped to one trace."""
     return _digest(b"span:", (trace_id, name) + parts)
+
+
+#: Trace id of the events recorded outside any open span.
+EVENTS_TRACE_ID = make_trace_id("events")
 
 
 @dataclass
@@ -97,6 +125,7 @@ class Span:
         return self.start + self.duration
 
     def as_dict(self) -> Dict[str, object]:
+        """JSON-able form; non-finite float fields become strings."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -104,7 +133,10 @@ class Span:
             "name": self.name,
             "start": self.start,
             "duration": self.duration,
-            "fields": self.fields,
+            "fields": {
+                key: _json_value(value) if isinstance(value, float) else value
+                for key, value in self.fields.items()
+            },
         }
 
     @classmethod
@@ -125,7 +157,8 @@ class ActiveSpan:
 
     Usable nested: ``child(name)`` starts a sub-span with this span as
     parent, and ``span_id`` is available immediately (before exit) so
-    it can be handed to workers as their parent id.
+    it can be handed to workers as their parent id.  While entered, it
+    is the parent of the events its thread records into the ring.
     """
 
     __slots__ = ("_tracer", "span", "_t0")
@@ -156,19 +189,25 @@ class ActiveSpan:
         self.span.fields.update(fields)
 
     def __enter__(self) -> "ActiveSpan":
+        self._tracer._open_spans().append(self)
         self._t0 = time.perf_counter()
         self.span.start = self._tracer._wall_clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.span.duration = time.perf_counter() - self._t0
+        self._tracer._open_spans().remove(self)
         if exc_type is not None:
             self.span.fields.setdefault("error", exc_type.__name__)
         self._tracer.record(self.span)
 
 
 class _NullActiveSpan:
-    """Do-nothing stand-in with the :class:`ActiveSpan` surface."""
+    """Do-nothing stand-in with the :class:`ActiveSpan` surface.
+
+    Also the shared null context manager of the package's other no-op
+    sinks (``NullTelemetry.timer`` / ``atomic``, ``NULL_PROFILER.stage``).
+    """
 
     __slots__ = ()
     span_id = ""
@@ -191,12 +230,16 @@ NULL_ACTIVE_SPAN = _NullActiveSpan()
 
 
 class SpanTracer:
-    """Bounded in-memory span recorder (the span sibling of ``Tracer``).
+    """Bounded in-memory span recorder: the one trace ring.
 
-    Spans land here two ways: locally via :meth:`start_span` (a timing
-    context manager), or imported from another process's serialized
-    form via :meth:`record` / :meth:`record_dicts` -- the parallel
-    engine's frame-metadata hand-off.
+    Spans land here three ways: locally via :meth:`start_span` (a timing
+    context manager), as zero-duration events via :meth:`record_event`, or
+    imported from another process's serialized form via :meth:`record` /
+    :meth:`record_dicts` -- the parallel engine's frame-metadata
+    hand-off.  Once ``capacity`` spans are buffered, each new one evicts
+    the oldest and calls ``on_evict`` (the owning
+    :class:`~repro.telemetry.Telemetry` counts it as
+    ``tracer_dropped_events_total``).
     """
 
     def __init__(self, capacity: int = 4096, wall_clock=time.time) -> None:
@@ -206,6 +249,19 @@ class SpanTracer:
         self._wall_clock = wall_clock
         self._ring: "deque[Span]" = deque(maxlen=capacity)
         self._recorded = 0
+        # Guards the recorded count with the append, so events recorded
+        # from several threads at once never derive the same span id.
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self.on_evict: Optional[Callable[[], None]] = None
+
+    def _open_spans(self) -> List[ActiveSpan]:
+        """The calling thread's entered, not yet exited spans."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = []
+            return self._local.stack
 
     # -- recording ----------------------------------------------------------
 
@@ -237,10 +293,50 @@ class SpanTracer:
         )
         return ActiveSpan(self, span)
 
+    def record_event(self, name: str, fields: Dict[str, object]) -> Span:
+        """Record event ``name`` as a zero-duration span (``fields`` is
+        kept, not copied) under the innermost open span.
+
+        Outside any span the event joins :data:`EVENTS_TRACE_ID` as a
+        root; its id is derived from the trace id, the name and the
+        ring's recorded count.
+        """
+        stack = self._open_spans()
+        if stack:
+            parent = stack[-1].span
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = EVENTS_TRACE_ID, None
+        with self._lock:
+            span = Span(
+                trace_id=trace_id,
+                span_id=make_span_id(trace_id, name, self._recorded),
+                parent_id=parent_id,
+                name=name,
+                start=self._wall_clock(),
+                duration=0.0,
+                fields=fields,
+            )
+            evicted = self._append(span)
+        if evicted:
+            self.on_evict()
+        return span
+
     def record(self, span: Span) -> None:
         """Append one finished span (local or imported)."""
+        with self._lock:
+            evicted = self._append(span)
+        if evicted:
+            self.on_evict()
+
+    def _append(self, span: Span) -> bool:
+        """Append under the lock; True when it evicted the oldest span
+        and ``on_evict`` must be called (after the lock is released, as
+        the hook takes the registry lock)."""
+        evicted = len(self._ring) == self.capacity
         self._recorded += 1
         self._ring.append(span)
+        return evicted and self.on_evict is not None
 
     def record_dicts(self, dicts: Iterable[Dict[str, object]]) -> int:
         """Import spans serialized by another process; returns how many."""
@@ -280,14 +376,16 @@ class SpanTracer:
         return list(seen)
 
     def clear(self) -> None:
-        self._ring.clear()
-        self._recorded = 0
+        with self._lock:
+            self._ring.clear()
+            self._recorded = 0
 
     # -- JSONL round trip ---------------------------------------------------
 
     def to_jsonl(self) -> str:
+        """Serialise the buffered spans, one sorted-key JSON object per line."""
         out = io.StringIO()
-        for span in self._ring:
+        for span in self.spans():
             out.write(json.dumps(span.as_dict(), sort_keys=True))
             out.write("\n")
         return out.getvalue()

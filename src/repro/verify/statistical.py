@@ -300,7 +300,7 @@ def check_epoch_discipline(
     batch = np.arange(1_000, dtype=np.int64)
     for _ in range(n_batches):
         monitor.update_batch(batch, duration_seconds=batch_duration)
-    events = len(telemetry.tracer.events("nitro.epoch"))
+    events = len(telemetry.spans.spans(name="nitro.epoch"))
     expected = int(n_batches * batch_duration / epoch_seconds + 1e-9)
     if abs(events - expected) > 1:  # +-1 for float accumulation at the edge
         return CheckResult.fail(

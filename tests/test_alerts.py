@@ -182,7 +182,7 @@ class TestLifecycleGolden:
 
     def test_trace_events_recorded(self):
         telemetry, _, _ = _scripted_lifecycle()
-        events = telemetry.tracer.events("alert.transition")
+        events = telemetry.spans.spans(name="alert.transition")
         assert [e.fields["state"] for e in events] == [
             "pending",
             "firing",
@@ -722,7 +722,7 @@ class TestDetectors:
             "anomaly_epochs_total",
         ):
             assert metric in snap["metrics"], metric
-        assert telemetry.tracer.events("anomaly.epoch")
+        assert telemetry.spans.spans(name="anomaly.epoch")
 
     def test_non_cumulative_mode_queries_directly(self):
         """One-epoch monitors (the windowed-daemon shape) need no diffing."""

@@ -346,7 +346,7 @@ class TestGuaranteeMonitor:
         for offset in (104.0, 108.0, 112.0, 116.0):
             monitor.offset = offset  # error = offset - 100, rising
             guard.check()
-        drift = telemetry.tracer.events("audit.drift")
+        drift = telemetry.spans.spans(name="audit.drift")
         assert len(drift) == 1
 
     def test_reset_clears_state(self):
@@ -382,7 +382,7 @@ class TestGuaranteeMonitor:
         assert report.audit.max_absolute_error == math.inf
         assert report.audit.max_relative_error == math.inf
         assert report.audit.mean_relative_error == math.inf
-        [event] = telemetry.tracer.events("audit.violation")
+        [event] = telemetry.spans.spans(name="audit.violation")
         assert event.fields["worst_key"] == corrupted
 
     def test_non_finite_alert_values_stay_strict_json(self):
@@ -419,11 +419,58 @@ class TestGuaranteeMonitor:
         [notification] = sink.notifications
         assert strict(json.dumps(notification.as_dict()))["value"] == "+Inf"
         events = {}
-        for line in telemetry.tracer.to_jsonl().splitlines():
+        for line in telemetry.spans.to_jsonl().splitlines():
             event = strict(line)
             events[event["name"]] = event["fields"]
         assert events["alert.transition"]["value"] == "+Inf"
         assert events["audit.violation"]["observed"] == "+Inf"
+
+    def test_every_json_route_is_strict_json(self):
+        """A corrupted audited run (``audit_bound_ratio`` = +Inf with
+        ``guarantee_violation`` firing) plus a span with an inf field:
+        every JSON route and every ``/trace`` line parses strictly."""
+        from repro.telemetry import HistoryStore
+        from repro.telemetry.demo import run_audited_demo
+
+        def reject(token):
+            raise ValueError("non-standard JSON token %s" % token)
+
+        telemetry = Telemetry()
+        run_audited_demo(telemetry, packets=20_000, corrupt=True)
+        with telemetry.start_span("epoch", observed=math.inf):
+            pass
+        manager = AlertManager(telemetry, health_rules())
+        manager.evaluate()
+        history = HistoryStore(capacity=8)
+        history.record(telemetry.snapshot())
+        server = TelemetryServer(
+            telemetry, port=0, health=manager, alerts=manager, history=history
+        )
+        bodies = {}
+        with server.start():
+            base = "http://127.0.0.1:%d" % server.port
+            for path in ("/snapshot", "/health", "/alerts", "/rules", "/history", "/trace"):
+                try:
+                    bodies[path] = urllib.request.urlopen(base + path).read().decode()
+                except urllib.error.HTTPError as exc:
+                    assert (path, exc.code) == ("/health", 503)
+                    bodies[path] = exc.read().decode()
+        parsed = {
+            path: json.loads(body, parse_constant=reject)
+            for path, body in bodies.items()
+            if path != "/trace"
+        }
+        records = [
+            json.loads(line, parse_constant=reject)
+            for line in bodies["/trace"].splitlines()
+        ]
+        assert "guarantee_violation" in [alert["alert"] for alert in parsed["/health"]["alerts"]]
+        ratio = parsed["/snapshot"]["metrics"]["audit_bound_ratio"]["samples"][0]["value"]
+        assert ratio == "+Inf"
+        [epoch] = [record for record in records if record["name"] == "epoch"]
+        assert epoch["fields"] == {"observed": "+Inf"}
+        transitions = [record for record in records if record["name"] == "alert.transition"]
+        assert "+Inf" in [record["fields"]["value"] for record in transitions]
 
 
 # -- Seeded property test: bound holds on clean runs, breaks when corrupted -
@@ -446,7 +493,7 @@ class TestGuaranteeProperty:
         clean = guard.check()
         assert not clean.violated
         assert clean.observed_max_error <= clean.bound
-        assert not telemetry.tracer.events("audit.violation")
+        assert not telemetry.spans.spans(name="audit.violation")
 
         # Corrupt: Count-Min takes the per-row minimum, so a uniform
         # offset shifts every estimate by exactly that offset.
@@ -454,7 +501,7 @@ class TestGuaranteeProperty:
         broken = guard.check()
         assert broken.violated
         assert guard.violations == 1
-        events = telemetry.tracer.events("audit.violation")
+        events = telemetry.spans.spans(name="audit.violation")
         assert len(events) == 1
         assert events[0].fields["guarantee"] == "l1"
 
@@ -474,7 +521,7 @@ class TestGuaranteeProperty:
         clean = guard.check()
         assert not clean.violated
         assert clean.observed_max_error <= clean.bound
-        assert not telemetry.tracer.events("audit.violation")
+        assert not telemetry.spans.spans(name="audit.violation")
 
         # Corrupt: wiping the counters deflates the eps*L2 bound (it is
         # read from the same counters) to zero while every estimate's
@@ -483,7 +530,7 @@ class TestGuaranteeProperty:
         broken = guard.check()
         assert broken.violated
         assert broken.ratio == float("inf")
-        assert telemetry.tracer.events("audit.violation")
+        assert telemetry.spans.spans(name="audit.violation")
 
 
 # -- the stock health rules -------------------------------------------------
@@ -734,11 +781,11 @@ class TestHealthAlerts:
             )
             == 1.0
         )
-        transitions = telemetry.tracer.events("alert.transition")
+        transitions = telemetry.spans.spans(name="alert.transition")
         assert [event.fields["alert"] for event in transitions] == ["error_slo"]
         # Second evaluation with the same verdict: no new transition.
         manager.evaluate()
-        assert len(telemetry.tracer.events("alert.transition")) == 1
+        assert len(telemetry.spans.spans(name="alert.transition")) == 1
         assert [event["to"] for event in manager.transitions] == ["firing"]
 
     def test_report_as_dict_schema(self):

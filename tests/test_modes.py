@@ -239,7 +239,7 @@ class TestEpochAccounting:
         spacing = 1.0 / 1024.0
         for i in range(3 * 128 + 50):
             controller.on_packet(i * spacing)
-        events = controller.telemetry.tracer.events("nitro.epoch")
+        events = controller.telemetry.spans.spans(name="nitro.epoch")
         assert len(events) == 3
         expected_rate = 128 / 0.125 / 1e6
         assert [event.fields["rate_mpps"] for event in events] == [expected_rate] * 3
@@ -282,11 +282,11 @@ class TestBatchEpochDiscipline:
         # Three 40 ms batches: the first two sit inside the open epoch.
         assert controller.on_batch(1_000, 0.04) is None
         assert controller.on_batch(1_000, 0.04) is None
-        assert len(controller.telemetry.tracer.events("nitro.epoch")) == 0
+        assert len(controller.telemetry.spans.spans(name="nitro.epoch")) == 0
         # The third crosses 100 ms: one epoch, rate 3000/0.12 = 25 kpps,
         # which maps to p = 1.0 (far below the 0.625 Mpps budget).
         assert controller.on_batch(1_000, 0.04) == 1.0
-        events = controller.telemetry.tracer.events("nitro.epoch")
+        events = controller.telemetry.spans.spans(name="nitro.epoch")
         assert len(events) == 1
         assert events[0].fields["rate_mpps"] == pytest.approx(0.025)
         # The accumulators restart with the new epoch.
@@ -301,7 +301,7 @@ class TestBatchEpochDiscipline:
         controller.telemetry = Telemetry()
         for _ in range(120):
             controller.on_batch(1_000, 0.01)
-        events = controller.telemetry.tracer.events("nitro.epoch")
+        events = controller.telemetry.spans.spans(name="nitro.epoch")
         # 1.2 s of accumulated batch time over 0.1 s epochs; float
         # accumulation can stretch an epoch by one 10 ms batch, so 10-12
         # epochs close -- far from the 120 the per-batch bug produced.

@@ -22,7 +22,9 @@ from repro.service.tenants import (
     tenant_stream_id,
     tenant_subdir,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, AlertManager, HistoryStore, Telemetry
+from repro.telemetry.exposition import snapshot
+from repro.telemetry.health import health_rules
 
 
 def _http(port, path):
@@ -621,6 +623,70 @@ class TestServiceEndToEnd:
             assert outcomes.get("malformed", 0) >= 1
         finally:
             service.stop()
+
+
+def _get(port, path):
+    with urllib.request.urlopen(
+        "http://127.0.0.1:%d%s" % (port, path), timeout=10
+    ) as response:
+        return response.status, response.read().decode()
+
+
+class TestBuiltinRoutes:
+    """Every built-in HTTP route answers, on a NULL_TELEMETRY service
+    (with empty content) as on a live one."""
+
+    ROUTES = ("/metrics", "/snapshot", "/trace", "/health", "/alerts", "/rules", "/history")
+
+    def _serve_and_read(self, telemetry):
+        service = MonitoringService(
+            ServiceConfig(epoch_batches=0),
+            telemetry=telemetry,
+            alerts=AlertManager(telemetry, health_rules()),
+            history=HistoryStore(capacity=8),
+        ).start()
+        try:
+            with IngestClient("127.0.0.1", service.ingest_port) as client:
+                client.ingest("acme", np.arange(500, dtype=np.int64))
+                assert client.sync("acme")["packets_ingested"] == 500
+            service.history.record(snapshot(telemetry.registry))
+            replies = {path: _get(service.http_port, path) for path in self.ROUTES}
+        finally:
+            service.stop()
+        assert {path: status for path, (status, _) in replies.items()} == dict.fromkeys(
+            self.ROUTES, 200
+        )
+        return {path: body for path, (_, body) in replies.items()}
+
+    def _assert_empty(self, bodies):
+        assert bodies["/metrics"] == ""
+        assert bodies["/trace"] == ""
+        snapshot = json.loads(bodies["/snapshot"])
+        assert snapshot["metrics"] == {}
+        assert snapshot["trace"]["recorded"] == 0 and snapshot["trace"]["spans"] == []
+        health = json.loads(bodies["/health"])
+        assert (health["status"], health["alerts"]) == ("ok", [])
+        assert json.loads(bodies["/alerts"])["firing"] == []
+        assert json.loads(bodies["/history"])["samples"][0]["values"] == {}
+
+    def test_null_telemetry_service_answers_every_route(self):
+        self._assert_empty(self._serve_and_read(NULL_TELEMETRY))
+
+    def test_second_null_service_still_reads_empty(self):
+        self._serve_and_read(NULL_TELEMETRY)
+        self._assert_empty(self._serve_and_read(NULL_TELEMETRY))
+        assert len(NULL_TELEMETRY.registry) == 0 and len(NULL_TELEMETRY.spans) == 0
+
+    def test_live_service_answers_every_route(self):
+        telemetry = Telemetry()
+        telemetry.event("probe")
+        bodies = self._serve_and_read(telemetry)
+        assert "service_frames_total" in bodies["/metrics"]
+        assert "service_frames_total" in json.loads(bodies["/snapshot"])["metrics"]
+        assert '"name": "probe"' in bodies["/trace"]
+        assert json.loads(bodies["/health"])["status"] == "ok"
+        assert json.loads(bodies["/rules"])
+        assert json.loads(bodies["/history"])["samples"][0]["values"]
 
 
 class TestServiceTelemetryFanin:

@@ -1,8 +1,8 @@
-"""Tests for the telemetry subsystem (registry, tracer, exposition, hooks).
+"""Tests for the telemetry subsystem (registry, trace ring, exposition, hooks).
 
 Covers the observability satellites: metric-family semantics, the
-Prometheus text golden output, tracer ring-buffer bounding and JSONL
-round-trips, the AlwaysCorrect convergence event, the keep_monitors
+Prometheus text golden output, the trace ring's event path (bounding
+and JSONL round-trips), the AlwaysCorrect convergence event, the keep_monitors
 window, the daemon's TypeError handling, and the guarantee that the
 default NULL_TELEMETRY sink leaves results bit-identical.
 """
@@ -23,14 +23,14 @@ from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
     METRIC_HELP,
     MetricsRegistry,
+    NULL_ACTIVE_SPAN,
     NULL_TELEMETRY,
     NullTelemetry,
+    SpanTracer,
     Telemetry,
     TelemetryServer,
-    Tracer,
     log_buckets,
-    parse_jsonl,
-    read_jsonl,
+    parse_spans_jsonl,
     render_prometheus,
 )
 from repro.traffic import caida_like
@@ -212,64 +212,82 @@ class TestPrometheusExposition:
         assert render_prometheus(MetricsRegistry()) == ""
 
     def test_json_snapshot_round_trips(self):
-        telemetry = Telemetry(registry=_reference_registry(), tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(
+            registry=_reference_registry(), spans=SpanTracer(wall_clock=FakeClock())
+        )
         telemetry.event("demo.event", answer=42)
         data = json.loads(telemetry.render_json())
         assert data["metrics"]["requests_total"]["type"] == "counter"
         assert data["trace"]["recorded"] == 1
-        assert data["trace"]["events"][0]["name"] == "demo.event"
+        assert data["trace"]["spans"][0]["name"] == "demo.event"
 
 
 class TestTracer:
-    def test_ring_bounded_and_dropped_counted(self):
-        tracer = Tracer(capacity=4, clock=FakeClock())
-        for index in range(10):
-            tracer.record("tick", index=index)
-        assert len(tracer) == 4
-        assert tracer.recorded == 10
-        assert tracer.dropped == 6
-        assert [event.seq for event in tracer.events()] == [6, 7, 8, 9]
-        assert [event.fields["index"] for event in tracer.events()] == [6, 7, 8, 9]
+    """The trace ring's event path: ``Telemetry.event`` records
+    zero-duration spans into ``Telemetry.spans``."""
 
-    def test_capacity_validated(self):
+    @staticmethod
+    def _telemetry(capacity: int = 4096) -> Telemetry:
+        return Telemetry(spans=SpanTracer(capacity=capacity, wall_clock=FakeClock()))
+
+    def test_ring_bounded_and_dropped_counted(self):
+        telemetry = self._telemetry(capacity=4)
+        for index in range(10):
+            telemetry.event("tick", index=index)
+        ring = telemetry.spans
+        assert len(ring) == 4
+        assert ring.recorded == 10
+        assert ring.dropped == 6
+        assert [span.fields["index"] for span in ring.spans()] == [6, 7, 8, 9]
+        assert len({span.span_id for span in ring.spans()}) == 4
+        assert {span.duration for span in ring.spans()} == {0.0}
+
+    def test_capacity_validated(self, capsys):
         with pytest.raises(ValueError):
-            Tracer(capacity=0)
+            Telemetry(spans=SpanTracer(capacity=0))
+        from repro.cli import main as cli_main
+
+        assert cli_main(["telemetry", "--demo", "--trace-capacity", "0"]) == 2
 
     def test_events_filter_by_name(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.record("a")
-        tracer.record("b")
-        tracer.record("a")
-        assert [event.name for event in tracer.events("a")] == ["a", "a"]
+        telemetry = self._telemetry()
+        telemetry.event("a")
+        telemetry.event("b")
+        telemetry.event("a")
+        assert [span.name for span in telemetry.spans.spans(name="a")] == ["a", "a"]
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer(clock=FakeClock())
-        tracer.record("nitro.p_change", reason="converged", old=1.0, new=0.125)
-        tracer.record("nitro.convergence", packets=4000)
-        text = tracer.to_jsonl()
-        assert parse_jsonl(text) == tracer.events()
+        telemetry = self._telemetry()
+        telemetry.event("nitro.p_change", reason="converged", old=1.0, new=0.125)
+        telemetry.event("nitro.convergence", packets=4000)
+        ring = telemetry.spans
+        expected = [span.as_dict() for span in ring.spans()]
+        assert [span.as_dict() for span in parse_spans_jsonl(ring.to_jsonl())] == expected
 
         path = str(tmp_path / "trace.jsonl")
-        assert tracer.write_jsonl(path) == 2
-        assert read_jsonl(path) == tracer.events()
+        assert ring.write_jsonl(path) == 2
+        with open(path) as handle:
+            assert [span.as_dict() for span in parse_spans_jsonl(handle.read())] == expected
 
     def test_jsonl_lines_have_sorted_keys(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.record("tick", zebra=1, apple=2)
-        line = tracer.to_jsonl().splitlines()[0]
-        assert line.index('"fields"') < line.index('"name"') < line.index('"seq"')
+        telemetry = self._telemetry()
+        telemetry.event("tick", zebra=1, apple=2)
+        line = telemetry.spans.to_jsonl().splitlines()[0]
+        keys = ('"duration"', '"fields"', '"name"', '"parent_id"', '"span_id"', '"start"')
+        assert [line.index(key) for key in keys] == sorted(line.index(key) for key in keys)
+        assert line.index('"apple"') < line.index('"zebra"')
 
     def test_clear(self):
-        tracer = Tracer(capacity=4, clock=FakeClock())
-        tracer.record("tick")
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recorded == 0
+        telemetry = self._telemetry(capacity=4)
+        telemetry.event("tick")
+        telemetry.spans.clear()
+        assert len(telemetry.spans) == 0
+        assert telemetry.spans.recorded == 0
 
 
 class TestTelemetryFacade:
     def test_count_gauge_observe_create_families(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         telemetry.count("nitro_packets_total", 5, path="batch")
         telemetry.gauge("nitro_sampling_probability", 0.25)
         telemetry.observe("pipeline_stage_seconds", 1e-4, stage="l2fwd", platform="vpp")
@@ -280,18 +298,18 @@ class TestTelemetryFacade:
         assert registry.get("pipeline_stage_seconds").labelnames == ("platform", "stage")
         assert METRIC_HELP["nitro_packets_total"] == registry.get("nitro_packets_total").help
 
-    def test_span_records_into_histogram(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
-        with telemetry.span("daemon_ingest_seconds", daemon="t"):
+    def test_timer_records_into_histogram(self):
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
+        with telemetry.timer("daemon_ingest_seconds", daemon="t"):
             pass
         child = telemetry.registry.get("daemon_ingest_seconds").labels(daemon="t")
         assert child.count == 1
         assert child.sum >= 0.0
-        # Spans time into histograms only; they never touch the event ring.
-        assert len(telemetry.tracer) == 0
+        # Timers record into histograms only; they never touch the trace ring.
+        assert len(telemetry.spans) == 0
 
     def test_record_ops_bridges_opcounter(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         ops = OpCounter()
         ops.hashes += 7
         ops.packets += 2
@@ -309,16 +327,19 @@ class TestTelemetryFacade:
         null.observe("x_seconds", 0.1)
         null.event("x.event", a=1)
         null.record_ops(OpCounter())
-        with null.span("x_seconds", stage="s") as span:
+        with null.timer("x_seconds", stage="s") as timer:
             pass
-        assert span is null.span("y_seconds")  # shared stateless null span
+        assert timer is null.timer("y_seconds") is NULL_ACTIVE_SPAN  # one shared null
+        assert null.atomic() is NULL_ACTIVE_SPAN
+        # The writers above never fill the null sink's registry or ring.
+        assert len(null.registry) == 0 and len(null.spans) == 0
 
 
 class TestResolvedChildCache:
     """``Telemetry`` writers resolve each (kind, name, labels) child once."""
 
     def test_repeat_writes_reuse_the_child_and_render_alike(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         direct = MetricsRegistry()
         for _ in range(3):
             telemetry.count("requests_total", 2, method="get", code="200")
@@ -331,7 +352,7 @@ class TestResolvedChildCache:
         assert render_prometheus(registry) == render_prometheus(direct)
 
     def test_reset_clears_the_cache(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         telemetry.count("nitro_packets_total", 5, path="batch")
         telemetry.registry.reset()
         assert telemetry.registry._resolved == {}
@@ -341,7 +362,7 @@ class TestResolvedChildCache:
         assert family.labels(path="batch").value == 1.0
 
     def test_kind_and_schema_mismatch_still_raise(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         telemetry.count("nitro_packets_total", 1, path="batch")
         telemetry.count("nitro_packets_total", 1, path="batch")  # cached
         with pytest.raises(ValueError):
@@ -352,7 +373,7 @@ class TestResolvedChildCache:
             telemetry.gauge("nitro_packets_total", 1.0, path="batch")
 
     def test_non_str_label_values_resolve_uncached(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         # 1 and 1.0 hash alike but render as different label values.
         telemetry.count("worker_total", worker=1)
         telemetry.count("worker_total", worker=1.0)
@@ -366,7 +387,7 @@ class TestResolvedChildCache:
 
 class TestHTTPEndpoint:
     def test_serves_metrics_snapshot_and_trace(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         telemetry.count("requests_total", 3)
         telemetry.event("demo.event", ok=True)
         server = TelemetryServer(telemetry, port=0).start()
@@ -377,7 +398,7 @@ class TestHTTPEndpoint:
             snapshot = json.loads(urllib.request.urlopen(base + "/snapshot").read())
             assert snapshot["metrics"]["requests_total"]["samples"][0]["value"] == 3.0
             trace = urllib.request.urlopen(base + "/trace").read().decode()
-            assert parse_jsonl(trace)[0].name == "demo.event"
+            assert parse_spans_jsonl(trace)[0].name == "demo.event"
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(base + "/nope")
         finally:
@@ -394,7 +415,7 @@ def _convergence_run() -> NitroSketch:
         seed=9,
     )
     nitro = NitroSketch(CountSketch(5, 4096, seed=9), config)
-    nitro.telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+    nitro.telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
     nitro.update_batch(np.full(40000, 1, dtype=np.int64))
     return nitro
 
@@ -403,8 +424,7 @@ class TestConvergenceEvents:
     def test_convergence_event_fires_exactly_once(self):
         nitro = _convergence_run()
         assert nitro.converged
-        tracer = nitro.telemetry.tracer
-        events = tracer.events("nitro.convergence")
+        events = nitro.telemetry.spans.spans(name="nitro.convergence")
         assert len(events) == 1
         event = events[0]
         # The mode transition carries the packet index where T crossed.
@@ -415,7 +435,7 @@ class TestConvergenceEvents:
     def test_p_change_event_and_counters(self):
         nitro = _convergence_run()
         registry = nitro.telemetry.registry
-        changes = nitro.telemetry.tracer.events("nitro.p_change")
+        changes = nitro.telemetry.spans.spans(name="nitro.p_change")
         assert len(changes) == 1
         assert changes[0].fields["reason"] == "converged"
         assert changes[0].fields["old"] == 1.0
@@ -428,14 +448,14 @@ class TestConvergenceEvents:
     def test_convergence_trace_golden(self):
         """JSONL golden for the mode-transition trace (fake clock)."""
         nitro = _convergence_run()
-        assert nitro.telemetry.tracer.to_jsonl() == _golden("convergence_trace.jsonl")
+        assert nitro.telemetry.spans.to_jsonl() == _golden("convergence_trace.jsonl")
 
     def test_reset_emits_p_change(self):
         nitro = _convergence_run()
         nitro.reset()
         reasons = [
             event.fields["reason"]
-            for event in nitro.telemetry.tracer.events("nitro.p_change")
+            for event in nitro.telemetry.spans.spans(name="nitro.p_change")
         ]
         assert reasons == ["converged", "reset"]
         assert (
@@ -465,7 +485,7 @@ class TestNullTelemetryBitIdentical:
         plain.ops = OpCounter()
         instrumented = build()
         instrumented.ops = OpCounter()
-        instrumented.telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        instrumented.telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
 
         for start in range(0, len(trace), 1024):
             chunk = trace.keys[start : start + 1024]
@@ -552,7 +572,7 @@ class TestDaemonDispatch:
         assert monitor.calls == [(3, pytest.approx(2e-6))]
 
     def test_daemon_records_telemetry(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         daemon = MeasurementDaemon(_DurationMonitor(), telemetry=telemetry)
         daemon.ingest(_make_batch([1, 2, 3]))
         registry = telemetry.registry
@@ -581,7 +601,7 @@ class TestOpCounterFieldIteration:
 
 class TestIntegratedPipelineTelemetry:
     def test_simulator_run_populates_stage_histograms(self):
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         config = NitroConfig(
             probability=0.1,
             epsilon=0.5,
@@ -605,14 +625,14 @@ class TestIntegratedPipelineTelemetry:
         assert len(stage_names) >= 2
         assert registry.get("nitro_sampling_probability").labels().value == 0.1
         assert registry.get("simulator_achieved_mpps") is not None
-        runs = telemetry.tracer.events("simulate.run")
+        runs = telemetry.spans.spans(name="simulate.run")
         assert len(runs) == 1
         assert runs[0].fields["packets"] == 20_000
 
     def test_demo_run_validates(self):
         from repro.telemetry.demo import run_demo, validate
 
-        telemetry = Telemetry(tracer=Tracer(clock=FakeClock()))
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
         summary = run_demo(telemetry, packets=20_000, seed=7)
         assert summary["converged"]
         assert validate(telemetry) == []

@@ -4,9 +4,10 @@ Covers the span data model (deterministic ids, tree assembly, JSONL
 round trip, ring bounds), the :class:`StageProfiler` sampling contract
 and its quantile/flamegraph readers, the :class:`HistoryStore`
 downsampling ring, Prometheus text-format conformance (cumulative
-buckets, ``+Inf``, HELP escaping), the ``/spans`` and ``/history`` HTTP
-routes, cross-process span propagation through the parallel engine
-(skipped without shared memory), and the ``nitrosketch trace`` /
+buckets, ``+Inf``, HELP escaping), the ``/trace`` and ``/history`` HTTP
+routes, events as zero-duration spans inside the innermost open span,
+cross-process span propagation through the parallel engine (skipped
+without shared memory), and the ``nitrosketch trace`` /
 ``nitrosketch profile`` CLIs.
 """
 
@@ -37,6 +38,7 @@ from repro.telemetry.profile import (
     stage_summary,
 )
 from repro.telemetry.spans import (
+    EVENTS_TRACE_ID,
     SpanTracer,
     build_trace_tree,
     make_span_id,
@@ -44,7 +46,6 @@ from repro.telemetry.spans import (
     parse_spans_jsonl,
     render_span_tree,
 )
-from repro.telemetry.tracer import Tracer
 from repro.traffic.traces import caida_like
 
 needs_shm = pytest.mark.skipif(
@@ -160,6 +161,108 @@ class TestSpanTracer:
         assert tracer.trace_ids() == ["t1", "t2"]
 
 
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+class TestEvents:
+    """Events are zero-duration spans in the one ring."""
+
+    def test_event_outside_any_span_is_a_root_of_the_events_trace(self):
+        tracer = SpanTracer(wall_clock=lambda: 123.5)
+        span = tracer.record_event("nitro.convergence", {"packets": 10})
+        assert tracer.spans() == [span]
+        assert span.trace_id == EVENTS_TRACE_ID == make_trace_id("events")
+        assert span.parent_id is None
+        assert span.span_id == make_span_id(EVENTS_TRACE_ID, "nitro.convergence", 0)
+        assert (span.start, span.duration) == (123.5, 0.0)
+        assert span.fields == {"packets": 10}
+
+    def test_parent_is_the_innermost_open_span(self):
+        tracer = SpanTracer()
+        with tracer.start_span("epoch", trace_id="t") as epoch:
+            with epoch.child("merge") as merge:
+                inner = tracer.record_event("inner", {})
+            middle = tracer.record_event("middle", {})
+        outer = tracer.record_event("outer", {})
+        assert (inner.trace_id, inner.parent_id) == ("t", merge.span_id)
+        assert (middle.trace_id, middle.parent_id) == ("t", epoch.span_id)
+        assert (outer.trace_id, outer.parent_id) == (EVENTS_TRACE_ID, None)
+        roots = build_trace_tree(tracer.spans(trace_id="t"))
+        assert [node.span.name for node in roots] == ["epoch"]
+        assert sorted(node.span.name for node in roots[0].children) == ["merge", "middle"]
+
+    def test_exception_exit_closes_the_span_for_later_events(self):
+        tracer = SpanTracer()
+        with pytest.raises(RuntimeError):
+            with tracer.start_span("merge", trace_id="t"):
+                raise RuntimeError("boom")
+        assert tracer.record_event("after", {}).parent_id is None
+
+    def test_open_spans_are_per_thread(self):
+        import threading
+
+        tracer = SpanTracer()
+        found = []
+        with tracer.start_span("epoch", trace_id="t"):
+            thread = threading.Thread(target=lambda: found.append(tracer.record_event("x", {})))
+            thread.start()
+            thread.join()
+        assert found[0].parent_id is None
+        assert found[0].trace_id == EVENTS_TRACE_ID
+
+    def test_ids_repeat_on_a_rerun(self):
+        def run():
+            tracer = SpanTracer()
+            tracer.record_event("a", {})
+            with tracer.start_span("epoch", trace_id="t", span_id="e"):
+                tracer.record_event("a", {})
+            tracer.record_event("b", {})
+            return [(span.trace_id, span.span_id) for span in tracer.spans()]
+
+        first = run()
+        assert first == run()
+        assert len(set(first)) == len(first)
+
+    def test_concurrent_events_get_distinct_ids_and_exact_eviction_counts(self):
+        import sys
+        import threading
+
+        threads_n, per_thread = 4, 20_000
+        telemetry = Telemetry(spans=SpanTracer(capacity=threads_n * per_thread * 3 // 4))
+
+        def work():
+            for _ in range(per_thread):
+                telemetry.event("alert.transition")
+
+        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ring = telemetry.spans
+        assert ring.recorded == threads_n * per_thread
+        assert len({span.span_id for span in ring.spans()}) == len(ring) == ring.capacity
+        dropped = telemetry.registry.get("tracer_dropped_events_total").labels().value
+        assert dropped == ring.dropped == threads_n * per_thread // 4
+
+    def test_non_finite_fields_leave_as_strict_json(self):
+        tracer = SpanTracer()
+        with tracer.start_span("x", observed=float("inf")):
+            pass
+        tracer.record_event("y", {"low": float("-inf"), "odd": float("nan")})
+        lines = tracer.to_jsonl().splitlines()
+        records = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+        assert records[0]["fields"] == {"observed": "+Inf"}
+        assert records[1]["fields"] == {"low": "-Inf", "odd": "NaN"}
+
+
 # -- trace assembly and rendering ------------------------------------------
 
 
@@ -251,12 +354,32 @@ class TestTelemetrySpans:
         assert span.span_id == ""
 
     def test_tracer_dropped_events_metric(self):
-        telemetry = Telemetry(tracer=Tracer(capacity=2))
+        telemetry = Telemetry(spans=SpanTracer(capacity=2))
         for index in range(5):
             telemetry.event("tick", index=index)
         family = telemetry.registry.get("tracer_dropped_events_total")
         assert family is not None
         assert family.labels().value == 3
+
+    def test_every_eviction_path_is_counted(self):
+        telemetry = Telemetry(spans=SpanTracer(capacity=2))
+        ring = telemetry.spans
+
+        def dropped_metric():
+            family = telemetry.registry.get("tracer_dropped_events_total")
+            return 0 if family is None else family.labels().value
+
+        for index in range(3):
+            telemetry.event("tick", index=index)
+        assert ring.dropped == dropped_metric() == 1
+        for index in range(5):
+            with telemetry.start_span("s%d" % index):
+                pass
+        assert ring.dropped == dropped_metric() == 6
+        imported = [span.as_dict() for span in ring.spans()] + [ring.spans()[0].as_dict()]
+        assert ring.record_dicts(imported) == 3
+        assert ring.dropped == dropped_metric() == 9
+        assert ring.recorded == 11
 
     def test_no_dropped_metric_without_evictions(self):
         telemetry = Telemetry()
@@ -266,8 +389,8 @@ class TestTelemetrySpans:
     def test_event_wall_clock_in_jsonl(self):
         telemetry = Telemetry()
         telemetry.event("tick")
-        record = json.loads(telemetry.tracer.to_jsonl().splitlines()[0])
-        assert "wall" in record and record["wall"] > 0
+        record = json.loads(telemetry.spans.to_jsonl().splitlines()[0])
+        assert record["start"] > 0 and record["duration"] == 0.0
 
 
 # -- StageProfiler ----------------------------------------------------------
@@ -524,15 +647,22 @@ class TestPrometheusConformance:
 
 
 class TestServerRoutes:
-    def test_spans_route(self):
+    def test_trace_route_serves_spans_and_events(self):
         telemetry = Telemetry()
-        with telemetry.start_span("epoch", trace_id="t", epoch=0):
-            pass
+        with telemetry.start_span("epoch", trace_id="t", epoch=0) as epoch:
+            telemetry.event("parallel.worker_restart", worker=1)
         with TelemetryServer(telemetry, port=0).start() as server:
             base = "http://127.0.0.1:%d" % server.port
-            body = urllib.request.urlopen(base + "/spans").read().decode()
+            reply = urllib.request.urlopen(base + "/trace")
+            body = reply.read().decode()
+            assert reply.headers["Content-Type"] == "application/x-ndjson"
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(base + "/spans")
+            assert excinfo.value.code == 404
         spans = parse_spans_jsonl(body)
-        assert len(spans) == 1 and spans[0].trace_id == "t"
+        assert [span.name for span in spans] == ["parallel.worker_restart", "epoch"]
+        assert {span.trace_id for span in spans} == {"t"}
+        assert spans[0].parent_id == epoch.span_id
 
     def test_history_route_with_filter(self):
         telemetry = Telemetry()
@@ -573,6 +703,16 @@ def _engine(telemetry, crash_plan=None):
         telemetry=telemetry,
         crash_plan=crash_plan,
     )
+
+
+def _epoch_traces(telemetry):
+    """Trace ids holding an ``epoch`` span; ``run()`` also records its
+    ``parallel.run`` event into the ring, outside any epoch."""
+    return [
+        trace_id
+        for trace_id in telemetry.spans.trace_ids()
+        if telemetry.spans.spans(trace_id=trace_id, name="epoch")
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -617,7 +757,8 @@ class TestCrossProcessPropagation:
         live, oracle = Telemetry(), Telemetry()
         _engine(live).run(trace.keys)
         _engine(oracle).run_sequential(trace.keys)
-        assert live.spans.trace_ids() == oracle.spans.trace_ids()
+        assert _epoch_traces(live) == _epoch_traces(oracle)
+        assert len(_epoch_traces(live)) == 2
 
         def ingest_ids(telemetry):
             return {
@@ -635,7 +776,7 @@ class TestCrossProcessPropagation:
         ).run(trace.keys)
         assert result.restarts == 1
         assert set(crashed.spans.trace_ids()) == set(clean.spans.trace_ids())
-        for trace_id in clean.spans.trace_ids():
+        for trace_id in _epoch_traces(clean):
             clean_ids = {
                 span.span_id
                 for span in clean.spans.spans(trace_id=trace_id, name="worker.ingest")
@@ -652,6 +793,27 @@ class TestCrossProcessPropagation:
                 node for node in roots[0].children if node.span.name == "worker.ingest"
             ]
             assert len(ingest_children) == 2
+
+    def test_worker_restart_event_sits_under_its_epoch(self, trace):
+        telemetry = Telemetry()
+        engine = _engine(
+            telemetry, crash_plan=WorkerCrashPlan(worker=1, epoch=1, fraction=0.5)
+        )
+        result = engine.run(trace.keys)
+        assert result.restarts == 1
+        [restart] = telemetry.spans.spans(name="parallel.worker_restart")
+        trace_id = make_trace_id(*engine._trace_parts(len(trace.keys)), 1)
+        assert restart.trace_id == trace_id
+        assert restart.parent_id == make_span_id(trace_id, "epoch")
+        assert restart.duration == 0.0
+        assert (restart.fields["worker"], restart.fields["epoch"]) == (1, 1)
+        [root] = build_trace_tree(telemetry.spans.spans(trace_id=trace_id))
+        assert root.span.name == "epoch"
+        assert "parallel.worker_restart" in [node.span.name for node in root.children]
+        lines = render_span_tree(telemetry.spans.spans(trace_id=trace_id)).splitlines()
+        assert lines[1].split()[0] == "epoch"
+        [line] = [text for text in lines if "parallel.worker_restart" in text]
+        assert line.startswith("    parallel.worker_restart")  # one level below epoch
 
 
 # -- CLI -------------------------------------------------------------------
