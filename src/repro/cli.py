@@ -8,17 +8,16 @@ Subcommands:
 * ``simulate`` -- run the software-switch simulator over a trace and
   report throughput and CPU shares;
 * ``experiment`` -- regenerate a paper table/figure by name;
-* ``telemetry`` -- run an instrumented demo, dump/validate a metrics
+* ``telemetry`` -- run the ``clean`` scenario, dump/validate a metrics
   snapshot (Prometheus text or JSON), export a JSONL event trace, or
   serve everything over HTTP (see docs/OBSERVABILITY.md);
-* ``audit`` -- run the demo pipeline with a live shadow auditor and
-  guarantee monitor, serve and probe the ``/health`` endpoint, and exit
-  non-zero when the verdict or the alerts behind it disagree with the
-  expectation (the CI audit-smoke job's entry point; ``--corrupt``
-  exercises the violation path);
+* ``audit`` -- run the ``clean`` (or, with ``--corrupt``, the
+  ``corrupt``) scenario, serve and probe the ``/health`` endpoint, and
+  exit non-zero when the verdict or the alerts behind it disagree with
+  the expectation (the CI audit-smoke job's entry point);
 * ``top`` -- live terminal dashboard (error vs bound, p, throughput,
   per-stage timings, alerts) over a ``/snapshot`` URL or an in-process
-  demo run;
+  ``clean`` scenario run;
 * ``chaos`` -- fault-injection harness: kill-mid-epoch, truncated and
   corrupted checkpoints, dropped exports, each followed by recovery and
   a shadow-audited bound check (the CI chaos-smoke job's entry point;
@@ -79,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import operator
 import sys
 from typing import Optional
 
@@ -99,7 +99,7 @@ from repro.switchsim import (
     SwitchSimulator,
     VPPPipeline,
 )
-from repro.traffic import TRACE_FAMILIES, load_trace, read_pcap, save_trace, write_pcap
+from repro.traffic import TRACE_FAMILIES, caida_like, load_trace, read_pcap, save_trace, write_pcap
 
 EXPERIMENT_NAMES = (
     "table1",
@@ -126,11 +126,33 @@ PLATFORMS = {
     "bess": BESSPipeline,
 }
 
+#: Per command, the legal range of each flag whose out-of-range values
+#: would otherwise end in a traceback deep in the stack.  ``main`` checks
+#: them all: ``<command>: --flag must be <rule>`` and exit code 2.
+FLAG_RANGES = {
+    "telemetry": {"packets": ">= 1", "trace_capacity": ">= 1"},
+    "audit": {"packets": ">= 1"},
+    "top": {"packets": ">= 1", "interval": "> 0"},
+    "alerts": {"packets": ">= 1"},
+    "profile": {"sample_every": ">= 1", "batch_size": ">= 1", "history_capacity": ">= 4"},
+    "trace": {"workers": ">= 1", "batch_size": ">= 1"},
+    "parallel": {"workers": ">= 1", "batch_size": ">= 1"},
+}
 
-def _load_trace(path: str):
-    if path.endswith(".pcap"):
-        return read_pcap(path)
-    return load_trace(path)
+#: The mean relative-error SLO behind the views' ``/health``.  A shadow
+#: auditor rides every scenario, and the scenarios' sketches are sized to
+#: hold their eps bounds, not the stock 5% mean error over sampled mice.
+SCENARIO_ERROR_SLO = 5.0
+
+
+def _load_trace(args):
+    """The ``trace`` file argument, or a synthetic CAIDA-like trace of
+    ``--packets`` packets when it is omitted."""
+    if args.trace is None:
+        return caida_like(args.packets, seed=args.seed)
+    if args.trace.endswith(".pcap"):
+        return read_pcap(args.trace)
+    return load_trace(args.trace)
 
 
 def _build_monitor(args):
@@ -166,7 +188,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args)
     monitor = _build_monitor(args)
     monitor.update_batch(trace.keys)
     threshold = args.threshold * len(trace)
@@ -198,7 +220,7 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args)
     monitor = _build_monitor(args)
     mode = (
         IntegrationMode.SEPARATE_THREAD
@@ -213,30 +235,85 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _start_server(telemetry, args, **routes):
+    """Serve ``telemetry`` on the command's ``--host``/``--port``; ``/health``
+    runs the stock rules at its ``--error-slo``, else at
+    :data:`SCENARIO_ERROR_SLO`."""
+    from repro.telemetry import AlertManager, TelemetryServer
+    from repro.telemetry.health import health_rules
+
+    slo = getattr(args, "error_slo", SCENARIO_ERROR_SLO)
+    health = AlertManager(telemetry, health_rules(slo))
+    return TelemetryServer(
+        telemetry, host=args.host, port=args.port, health=health, **routes
+    ).start()
+
+
+def _park(
+    banner: Optional[str] = None, seconds: float = 0.0, tick=None, every: float = 3600.0
+) -> bool:
+    """Wait while started servers answer from their daemon threads.
+
+    Prints ``banner``, then waits ``seconds`` (when > 0) or until Ctrl-C
+    / SIGINT, calling ``tick`` every ``every`` seconds meanwhile.
+    Returns True when interrupted.  The caller closes what it started.
+    """
+    import time
+
+    try:  # a SIGINT that follows the banner must land in this block
+        if banner:
+            print("%s (Ctrl-C to stop)" % banner, file=sys.stderr)
+        if seconds > 0:
+            time.sleep(seconds)
+            return False
+        while True:
+            time.sleep(every)
+            if tick is not None:
+                tick()
+    except KeyboardInterrupt:
+        return True
+
+
+def _get(url: str):
+    """GET ``url``: (HTTP status, body), error statuses included."""
+    import urllib.error
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(url, timeout=10.0) as response:
+            return response.status, response.read().decode("utf-8")
+    except urllib.error.HTTPError as error:  # 503 carries the body too
+        return error.code, error.read().decode("utf-8")
+
+
 def cmd_telemetry(args) -> int:
     from repro.telemetry import SpanTracer, Telemetry
-    from repro.telemetry.demo import run_demo, validate
 
     if not args.demo and not args.serve:
         print("telemetry: nothing to do (pass --demo and/or --serve)", file=sys.stderr)
         return 2
-    if args.trace_capacity < 1:
-        print("telemetry: --trace-capacity must be >= 1", file=sys.stderr)
-        return 2
 
     telemetry = Telemetry(spans=SpanTracer(capacity=args.trace_capacity))
     if args.demo:
-        summary = run_demo(telemetry, packets=args.packets, seed=args.seed)
+        from repro.telemetry.scenario import Scenario
+
+        scenario = Scenario("clean", telemetry, args.packets, args.seed)
+        scenario.run()
+        nitro = scenario.monitor
         print(
-            "demo: %(packets)d packets, converged=%(converged)s at packet "
-            "%(converged_at_packet)s, p=%(probability)s, %(epochs)d control epochs"
-            % summary,
+            "demo: %d packets, converged=%s at packet %s, p=%s"
+            % (
+                len(scenario.trace),
+                nitro.converged,
+                nitro.correctness.converged_at_packet,
+                nitro.probability,
+            ),
             file=sys.stderr,
         )
-        problems = validate(telemetry)
+        problems = scenario.problems()
+        for problem in problems:
+            print("telemetry validation: %s" % problem, file=sys.stderr)
         if problems:
-            for problem in problems:
-                print("telemetry validation: %s" % problem, file=sys.stderr)
             return 1
         print("telemetry snapshot validated", file=sys.stderr)
 
@@ -255,101 +332,72 @@ def cmd_telemetry(args) -> int:
         print("wrote %d spans to %s" % (count, args.trace_out), file=sys.stderr)
 
     if args.serve:
-        from repro.telemetry import AlertManager, TelemetryServer
-        from repro.telemetry.health import health_rules
-
-        server = TelemetryServer(
-            telemetry,
-            host=args.host,
-            port=args.port,
-            health=AlertManager(telemetry, health_rules()),
-        )
-        print(
-            "serving /metrics /snapshot /trace /health on http://%s:%d "
-            "(Ctrl-C to stop)" % (args.host, server.port),
-            file=sys.stderr,
-        )
-        server.serve_forever(install_sigint_handler=True)
+        with _start_server(telemetry, args) as server:
+            _park(
+                "serving /metrics /snapshot /trace /health on http://%s:%d"
+                % (args.host, server.port)
+            )
     return 0
 
 
 def cmd_audit(args) -> int:
     import json
-    import urllib.error
-    import urllib.request
 
-    from repro.telemetry import AlertManager, Telemetry, TelemetryServer
-    from repro.telemetry.demo import run_audited_demo, validate_audit
-    from repro.telemetry.health import health_rules
+    from repro.telemetry import Telemetry
+    from repro.telemetry.scenario import Scenario
 
     telemetry = Telemetry()
-    summary = run_audited_demo(
-        telemetry, packets=args.packets, seed=args.seed, corrupt=args.corrupt
+    scenario = Scenario(
+        "corrupt" if args.corrupt else "clean", telemetry, args.packets, args.seed
     )
+    report = scenario.run()
     print(
-        "audit: %(packets)d packets, %(guarantee)s bound %(bound).1f, "
-        "observed max error %(observed_max_error).1f (ratio %(ratio).3f), "
-        "violations %(violations)d" % summary,
+        "audit: %d packets, %s bound %.1f, observed max error %.1f (ratio %.3f), "
+        "violations %d"
+        % (
+            len(scenario.trace),
+            report.guarantee,
+            report.bound,
+            report.observed_max_error,
+            report.ratio,
+            scenario.guard.violations,
+        ),
         file=sys.stderr,
     )
 
-    problems = validate_audit(telemetry, expect_violation=args.corrupt)
-    health = AlertManager(telemetry, health_rules(error_slo=args.error_slo))
-    with TelemetryServer(
-        telemetry, host=args.host, port=args.port, health=health
-    ).start() as server:
-        url = "http://%s:%d/health" % (args.host, server.port)
-        try:
-            with urllib.request.urlopen(url, timeout=10.0) as response:
-                http_status = response.status
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:  # 503 carries the body too
-            http_status = error.code
-            payload = json.loads(error.read().decode("utf-8"))
+    problems = scenario.problems()
+    with _start_server(telemetry, args) as server:
+        base = "http://%s:%d" % (args.host, server.port)
+        http_status, body = _get(base + "/health")
+        payload = json.loads(body)
         if args.serve:
-            import time
-
-            print(
-                "serving /metrics /snapshot /trace /health on %s (Ctrl-C to stop)"
-                % url,
-                file=sys.stderr,
-            )
-            try:
-                while True:  # the daemon thread serves; park until Ctrl-C
-                    time.sleep(3600)
-            except KeyboardInterrupt:
-                pass
+            _park("serving /metrics /snapshot /trace /health on %s" % base)
     print(json.dumps(payload, indent=2, sort_keys=True))
 
     # The verdict must name the alert behind it, not just the status.
     firing = [alert for alert in payload["alerts"] if alert["state"] == "firing"]
     critical = [alert["alert"] for alert in firing if alert["severity"] == "critical"]
-    if args.corrupt:
-        if not summary["violated"]:
-            problems.append("corrupted sketch did not violate the bound")
-        if payload["status"] != "fail" or http_status != 503:
-            problems.append(
-                "/health on the corrupted run returned %s (HTTP %d), expected "
-                "fail (HTTP 503)" % (payload["status"], http_status)
+    failed = payload["status"] == "fail"
+    if failed != args.corrupt or http_status != (503 if args.corrupt else 200):
+        problems.append(
+            "/health on the %s run returned %s (HTTP %d), expected %s"
+            % (
+                scenario.name,
+                payload["status"],
+                http_status,
+                "fail (HTTP 503)" if args.corrupt else "ok/warn (HTTP 200)",
             )
-        if "guarantee_violation" not in critical:
-            problems.append(
-                "/health on the corrupted run does not list guarantee_violation "
-                "as firing (critical firing: %s)" % (", ".join(critical) or "none")
-            )
-    else:
-        if summary["violated"]:
-            problems.append("clean run violated the guarantee bound")
-        if payload["status"] == "fail" or http_status != 200:
-            problems.append(
-                "/health on the clean run returned %s (HTTP %d), expected "
-                "ok/warn (HTTP 200)" % (payload["status"], http_status)
-            )
-        if critical:
-            problems.append(
-                "/health on the clean run has critical alert(s) firing: %s"
-                % ", ".join(critical)
-            )
+        )
+    if args.corrupt and "guarantee_violation" not in critical:
+        problems.append(
+            "/health on the corrupt run does not list guarantee_violation "
+            "as firing (critical firing: %s)" % (", ".join(critical) or "none")
+        )
+    if not args.corrupt and critical:
+        problems.append(
+            "/health on the clean run has critical alert(s) firing: %s"
+            % ", ".join(critical)
+        )
     for problem in problems:
         print("audit: %s" % problem, file=sys.stderr)
     if not problems:
@@ -367,14 +415,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_alerts(args) -> int:
+    import contextlib
     import json
     import re
-    import urllib.error
-    import urllib.request
 
-    from repro.telemetry import AlertManager, Telemetry, TelemetryServer, WebhookReceiver
-    from repro.telemetry.demo import run_alert_demo, validate_alert_demo
-    from repro.telemetry.health import health_rules
+    from repro.telemetry import Telemetry, WebhookReceiver
+    from repro.telemetry.scenario import Scenario
 
     if not (args.demo or args.eval or args.serve):
         print(
@@ -384,96 +430,79 @@ def cmd_alerts(args) -> int:
         return 2
 
     telemetry = Telemetry()
-    health = AlertManager(telemetry, health_rules())
-    server = TelemetryServer(
-        telemetry, host=args.host, port=args.port, health=health
-    ).start()
     problems = []
-    probe = {}
-
-    def on_ready(objects):
-        # Attach the live alert plane to the already-running server so
-        # /alerts, /rules and /history reflect the run as it happens --
-        # and so the firing-instant probe below sees it.
-        server.alerts = objects["manager"]
-        server.history = objects["history"]
-
-    def on_transition(event):
-        if event["alert"] != "entropy_collapse" or event["to"] != "firing":
-            return
+    fired = []
+    with contextlib.ExitStack() as stack:
+        server = stack.enter_context(_start_server(telemetry, args))
         base = "http://%s:%d" % (args.host, server.port)
-        try:
-            with urllib.request.urlopen(base + "/alerts", timeout=10.0) as response:
-                probe["alerts"] = json.loads(response.read().decode("utf-8"))
-            with urllib.request.urlopen(base + "/metrics", timeout=10.0) as response:
-                probe["metrics"] = response.read().decode("utf-8")
-        except Exception as error:  # noqa: BLE001 - report, don't crash the run
-            probe["error"] = str(error)
 
-    receiver = None
-    webhook_url = args.url
-    try:
+        def on_transition(event):
+            # Probe over real HTTP at the instant entropy_collapse fires.
+            if event["alert"] != "entropy_collapse" or event["to"] != "firing":
+                return
+            fired.append(event)
+            try:
+                alerts = json.loads(_get(base + "/alerts")[1])
+                metrics = _get(base + "/metrics")[1]
+            except Exception as error:  # noqa: BLE001 - report, don't crash the run
+                problems.append("HTTP probe at the firing instant failed: %s" % error)
+                return
+            if not any(
+                status["alert"] == "entropy_collapse"
+                for status in alerts.get("firing", [])
+            ):
+                problems.append(
+                    "/alerts did not list entropy_collapse under 'firing' "
+                    "at the firing instant"
+                )
+            pattern = (
+                r'^ALERTS\{alertname="entropy_collapse",'
+                r'alertstate="firing"[^}]*\} 1(\.0)?$'
+            )
+            if not re.search(pattern, metrics, re.MULTILINE):
+                problems.append(
+                    'no ALERTS{alertname="entropy_collapse",alertstate='
+                    '"firing"} 1 sample in /metrics at the firing instant'
+                )
+
+        receiver = None
+        webhook_url = args.url
         if args.demo and webhook_url is None:
             # Loopback receiver: proves webhook delivery over real HTTP.
-            receiver = WebhookReceiver(host=args.host).start()
+            receiver = stack.enter_context(WebhookReceiver(host=args.host))
             webhook_url = receiver.url
-        summary = run_alert_demo(
-            telemetry,
-            packets=args.packets,
-            seed=args.seed,
-            webhook_url=webhook_url,
-            on_transition=on_transition if args.demo else None,
-            on_ready=on_ready,
+        scenario = Scenario(
+            "ddos", telemetry, args.packets, args.seed, webhook_url=webhook_url
         )
-        manager = summary["manager"]
+        manager = scenario.manager
+        # Attach the live alert plane to the already-running server before
+        # ingest, so /alerts, /rules and /history reflect the run as it
+        # happens -- and so the firing-instant probe sees it.
+        server.alerts = manager
+        server.history = scenario.history
+        if args.demo:
+            manager.on_transition = on_transition
+        scenario.run()
         print(
             "alerts: %d packets, %d epochs, entropy_collapse transitions %s"
-            % (summary["packets"], summary["epochs"], summary["entropy_transitions"]),
+            % (
+                len(scenario.trace),
+                scenario.daemon.epochs_completed,
+                scenario.entropy_transitions(),
+            ),
             file=sys.stderr,
         )
 
         if args.demo:
-            problems = validate_alert_demo(
-                telemetry, summary, expect_webhook=webhook_url is not None
-            )
-            if "error" in probe:
-                problems.append(
-                    "HTTP probe at the firing instant failed: %s" % probe["error"]
-                )
-            elif "alerts" not in probe:
+            problems += scenario.problems()
+            if not fired:
                 problems.append(
                     "entropy_collapse never fired, so the /alerts probe never ran"
                 )
-            else:
-                fired = [
-                    status
-                    for status in probe["alerts"].get("firing", [])
-                    if status["alert"] == "entropy_collapse"
-                ]
-                if not fired:
-                    problems.append(
-                        "/alerts did not list entropy_collapse under 'firing' "
-                        "at the firing instant"
-                    )
-                pattern = (
-                    r'^ALERTS\{alertname="entropy_collapse",'
-                    r'alertstate="firing"[^}]*\} 1(\.0)?$'
-                )
-                if not re.search(pattern, probe.get("metrics", ""), re.MULTILINE):
-                    problems.append(
-                        'no ALERTS{alertname="entropy_collapse",alertstate='
-                        '"firing"} 1 sample in /metrics at the firing instant'
-                    )
-            if receiver is not None:
-                hits = [
-                    body
-                    for body in receiver.received
-                    if body.get("alert") == "entropy_collapse"
-                ]
-                if not hits:
-                    problems.append(
-                        "webhook receiver saw no entropy_collapse notification"
-                    )
+            if receiver is not None and not any(
+                body.get("alert") == "entropy_collapse" for body in receiver.received
+            ):
+                problems.append("webhook receiver saw no entropy_collapse notification")
             for problem in problems:
                 print("alerts: %s" % problem, file=sys.stderr)
             if not problems:
@@ -488,22 +517,10 @@ def cmd_alerts(args) -> int:
             print(json.dumps(manager.as_dict(), indent=2, sort_keys=True))
 
         if args.serve:
-            import time
-
-            print(
-                "serving /metrics /snapshot /alerts /rules /history /health on "
-                "http://%s:%d (Ctrl-C to stop)" % (args.host, server.port),
-                file=sys.stderr,
+            _park(
+                "serving /metrics /snapshot /trace /alerts /rules /history "
+                "/health on %s" % base
             )
-            try:
-                while True:  # the daemon thread serves; park until Ctrl-C
-                    time.sleep(3600)
-            except KeyboardInterrupt:
-                pass
-    finally:
-        if receiver is not None:
-            receiver.close()
-        server.close()
     return 1 if problems else 0
 
 
@@ -517,11 +534,11 @@ def cmd_top(args) -> int:
         source = SnapshotSource(url=args.url)
     else:
         from repro.telemetry import AlertManager, Telemetry
-        from repro.telemetry.demo import run_audited_demo
         from repro.telemetry.health import health_rules
+        from repro.telemetry.scenario import Scenario
 
         telemetry = Telemetry()
-        run_audited_demo(telemetry, packets=args.packets, seed=args.seed)
+        Scenario("clean", telemetry, args.packets, args.seed).run()
         AlertManager(telemetry, health_rules(error_slo=args.error_slo)).evaluate()
         source = SnapshotSource(telemetry=telemetry)
     loop = TopLoop(
@@ -585,16 +602,11 @@ def cmd_parallel(args) -> int:
         VanillaFactory,
         parallel_unavailable_reason,
     )
-    from repro.traffic.traces import caida_like
-
     reason = parallel_unavailable_reason()
     if reason:
         print("parallel: %s" % reason, file=sys.stderr)
         return 2
-    if args.trace is not None:
-        trace = _load_trace(args.trace)
-    else:
-        trace = caida_like(args.packets, seed=args.seed)
+    trace = _load_trace(args)
     if args.nitro:
         factory = NitroFactory(
             sketch=args.sketch,
@@ -657,12 +669,7 @@ def cmd_trace(args) -> int:
         parallel_unavailable_reason,
     )
     from repro.telemetry import Telemetry, render_span_tree
-    from repro.traffic.traces import caida_like
-
-    if args.trace is not None:
-        trace = _load_trace(args.trace)
-    else:
-        trace = caida_like(args.packets, seed=args.seed)
+    trace = _load_trace(args)
     epoch_packets = args.epoch_packets or max(1, len(trace) // max(args.epochs, 1))
     telemetry = Telemetry()
     factory = VanillaFactory(
@@ -708,23 +715,14 @@ def cmd_trace(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profiled ingest: per-stage latency table + collapsed stacks."""
-    import time as _time
-
     from repro.telemetry import HistoryStore, Telemetry
     from repro.telemetry.profile import (
         StageProfiler,
         collapsed_stacks,
         render_stage_table,
     )
-    from repro.traffic.traces import caida_like
 
-    if args.sample_every < 1:
-        print("profile: --sample-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.trace is not None:
-        trace = _load_trace(args.trace)
-    else:
-        trace = caida_like(args.packets, seed=args.seed)
+    trace = _load_trace(args)
     telemetry = Telemetry()
     profiler = StageProfiler(telemetry, sample_every=args.sample_every)
     monitor = _build_monitor(args)
@@ -762,36 +760,19 @@ def cmd_profile(args) -> int:
         print("collapsed stacks (flamegraph.pl / speedscope):")
         print(stacks, end="")
     if args.serve:
-        from repro.telemetry import AlertManager, TelemetryServer
-        from repro.telemetry.health import health_rules
-
-        server = TelemetryServer(
-            telemetry,
-            host=args.host,
-            port=args.port,
-            health=AlertManager(telemetry, health_rules()),
-            history=history,
-        ).start()
-        print(
-            "serving /metrics /snapshot /trace /history /health on "
-            "http://%s:%d (Ctrl-C to stop)" % (args.host, server.port),
-            file=sys.stderr,
-        )
-        try:
-            while True:  # record one history sample per second
-                _time.sleep(1.0)
-                history.record(telemetry.snapshot())
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
+        with _start_server(telemetry, args, history=history) as server:
+            _park(
+                "serving /metrics /snapshot /trace /history /health on "
+                "http://%s:%d" % (args.host, server.port),
+                # One history sample per second while serving.
+                tick=lambda: history.record(telemetry.snapshot()),
+                every=1.0,
+            )
     return 0
 
 
 def cmd_serve(args) -> int:
     """Run the always-on monitoring service until SIGINT (or --duration)."""
-    import time as _time
-
     from repro.service import IngestClient, MonitoringService, ServiceConfig
     from repro.telemetry import Telemetry
 
@@ -827,10 +808,6 @@ def cmd_serve(args) -> int:
     if args.demo:
         # Seed two tenants with synthetic traffic so the query plane has
         # something to show immediately.
-        import numpy as np
-
-        from repro.traffic.traces import caida_like
-
         with IngestClient(args.host, service.ingest_port) as client:
             for tenant, offset in (("demo_a", 0), ("demo_b", 1 << 32)):
                 trace = caida_like(20_000, n_flows=1000, seed=args.seed)
@@ -840,13 +817,8 @@ def cmd_serve(args) -> int:
                 client.sync(tenant)
         print("  demo tenants ingested: demo_a, demo_b")
     try:
-        if args.duration > 0:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\nnitrosketch serve: shutting down (drain + checkpoint)")
+        if _park(seconds=args.duration):
+            print("\nnitrosketch serve: shutting down (drain + checkpoint)")
     finally:
         service.stop()
     stats = service.tenants.stats()
@@ -961,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--error-slo",
         type=float,
-        default=5.0,
+        default=SCENARIO_ERROR_SLO,
         help="mean relative-error SLO for the health rule set",
     )
     audit.add_argument(
@@ -989,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--packets", type=int, default=50_000)
     top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--error-slo", type=float, default=5.0)
+    top.add_argument("--error-slo", type=float, default=SCENARIO_ERROR_SLO)
     top.set_defaults(func=cmd_top)
 
     chaos = sub.add_parser(
@@ -1182,6 +1154,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    compare = {">=": operator.ge, ">": operator.gt}
+    for dest, rule in FLAG_RANGES.get(args.command, {}).items():
+        op, bound = rule.split()
+        if not compare[op](getattr(args, dest), float(bound)):
+            flag = "--" + dest.replace("_", "-")
+            print("%s: %s must be %s" % (args.command, flag, rule), file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -39,7 +39,10 @@ post-hoc :class:`~repro.metrics.opcount.OpCounter` totals:
 * :mod:`repro.telemetry.anomaly` -- sketch-driven traffic-anomaly
   detectors (K-ary change score, entropy-collapse DDoS onset/offset,
   heavy-hitter churn) feeding the alert rules.  Imported lazily (it
-  needs NumPy).
+  needs NumPy);
+* :mod:`repro.telemetry.scenario` -- the one scenario runner (``clean``,
+  ``corrupt``, ``ddos``) behind the CLI's observability views.
+  Imported lazily (it needs NumPy).
 
 The :class:`Telemetry` facade bundles one registry and one trace ring and
 is what instrumented components hold.  Mirroring the ``NullOps`` pattern of
@@ -100,7 +103,6 @@ from repro.telemetry.exposition import (
     render_json,
     render_prometheus,
     snapshot,
-    start_http_server,
 )
 
 #: Canonical help strings for the metrics this repository emits, so every
@@ -437,5 +439,4 @@ __all__ = [
     "render_prometheus",
     "render_span_tree",
     "snapshot",
-    "start_http_server",
 ]

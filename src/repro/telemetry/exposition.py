@@ -8,10 +8,10 @@ Three ways out of the registry and the trace ring:
   ``_count``.
 * :func:`snapshot` -- a JSON-able dict of every family, sample and the
   trace ring's state; :func:`render_json` serialises it.
-* :class:`TelemetryServer` / :func:`start_http_server` -- a stdlib
-  ``http.server`` endpoint run in a daemon thread, serving ``/metrics``
-  (Prometheus), ``/snapshot`` (JSON), ``/trace`` (the span ring, events
-  included, as JSONL), ``/history`` (the attached
+* :class:`TelemetryServer` -- a stdlib ``http.server`` endpoint run in
+  a daemon thread, serving ``/metrics`` (Prometheus), ``/snapshot``
+  (JSON), ``/trace`` (the span ring, events included, as JSONL),
+  ``/history`` (the attached
   :class:`~repro.telemetry.history.HistoryStore` as JSON, filterable
   with ``?metric=name``), ``/alerts`` + ``/rules`` (when an
   :class:`~repro.telemetry.alerts.AlertManager` is attached) and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
@@ -292,7 +291,6 @@ class TelemetryServer:
         self._server.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._closed = False
-        self._serving = False
 
     @property
     def port(self) -> int:
@@ -307,70 +305,25 @@ class TelemetryServer:
         """Serve from a daemon thread; returns self for chaining."""
         if self._closed:
             raise RuntimeError("server already closed")
-        self._serving = True
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="telemetry-http", daemon=True
         )
         self._thread.start()
         return self
 
-    def serve_forever(self, install_sigint_handler: bool = False) -> None:
-        """Serve on the calling thread (the CLI's ``--serve`` loop).
-
-        With ``install_sigint_handler``, SIGINT triggers a graceful
-        shutdown (the serve loop exits, the socket closes) instead of
-        unwinding through ``KeyboardInterrupt`` mid-request; the
-        previous handler is restored before returning.  ``signal.signal``
-        is only legal on the main thread, so off the main thread (the
-        monitoring service embeds this loop in a worker) no handler is
-        installed and a ``KeyboardInterrupt`` that reaches the loop is
-        caught and turned into a clean close instead.
-        """
-        if self._closed:
-            raise RuntimeError("server already closed")
-        previous_handler = None
-        if (
-            install_sigint_handler
-            and threading.current_thread() is threading.main_thread()
-        ):
-            def _on_sigint(signum, frame):
-                # shutdown() blocks until the poll loop acknowledges, and
-                # this handler runs *on* the serving thread -- request it
-                # from a helper thread so the handler returns immediately
-                # and the loop can exit at its next poll tick.
-                threading.Thread(
-                    target=self._server.shutdown, name="telemetry-shutdown", daemon=True
-                ).start()
-
-            previous_handler = signal.signal(signal.SIGINT, _on_sigint)
-        self._serving = True
-        try:
-            self._server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if previous_handler is not None:
-                signal.signal(signal.SIGINT, previous_handler)
-            self.close()
-
     def close(self) -> None:
         """Shut down and release the port; safe to call any number of times."""
         if self._closed:
             return
         self._closed = True
-        if self._serving:
+        if self._thread is not None:
             # shutdown() waits on the serve loop's acknowledgement event,
             # which only exists once a loop has run -- guard so closing a
             # never-started server cannot block.
             self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=5.0)
-        self._thread = None
-
-    # Backwards-compatible alias (PR 2 name).
-    def stop(self) -> None:
-        self.close()
+            self._thread = None
+        self._server.server_close()
 
     def __enter__(self) -> "TelemetryServer":
         return self
@@ -378,16 +331,3 @@ class TelemetryServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def start_http_server(
-    telemetry,
-    host: str = "127.0.0.1",
-    port: int = 9109,
-    health=None,
-    history=None,
-    alerts=None,
-) -> TelemetryServer:
-    """Start a daemon-thread HTTP endpoint for ``telemetry``."""
-    return TelemetryServer(
-        telemetry, host=host, port=port, health=health, history=history, alerts=alerts
-    ).start()

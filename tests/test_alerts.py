@@ -41,7 +41,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.anomaly import SketchAnomalyDetectors, ddos_onset_trace
 from repro.telemetry.dashboard import render_dashboard
-from repro.telemetry.demo import run_alert_demo, validate_alert_demo
+from repro.telemetry.scenario import Scenario
 from repro.telemetry.health import health_rules
 from repro.traffic import caida_like
 from repro.traffic.replay import Batch
@@ -747,34 +747,34 @@ class TestDetectors:
 
 
 class TestAlertDemo:
+    """The ``ddos`` scenario behind ``nitrosketch alerts``."""
+
+    @staticmethod
+    def _run(**kwargs):
+        scenario = Scenario("ddos", Telemetry(), 30_000, seed=7, **kwargs)
+        scenario.run()
+        return scenario
+
     @pytest.fixture(scope="class")
     def run(self):
-        telemetry = Telemetry()
-        summary = run_alert_demo(telemetry, packets=30_000, seed=7)
-        return telemetry, summary
+        return self._run()
 
     def test_full_lifecycle_fires_and_resolves(self, run):
-        telemetry, summary = run
-        assert summary["fired"] and summary["resolved"]
-        assert validate_alert_demo(telemetry, summary) == []
+        transitions = run.entropy_transitions()
+        assert ("pending", "firing") in transitions
+        assert ("firing", "resolved") in transitions
+        assert run.problems() == []
 
     def test_deterministic_under_fixed_seed(self, run):
-        _, first = run
-        second = run_alert_demo(Telemetry(), packets=30_000, seed=7)
-        strip = lambda events: [
-            {k: v for k, v in e.items()} for e in events
-        ]
-        assert strip(first["transitions"]) == strip(second["transitions"])
-        assert first["signals"] == second["signals"]
+        second = self._run()
+        assert list(run.manager.transitions) == list(second.manager.transitions)
+        assert run.daemon.anomaly.last_signals == second.daemon.anomaly.last_signals
 
     def test_webhook_delivery_expected_when_configured(self):
-        telemetry = Telemetry()
         with WebhookReceiver() as receiver:
-            summary = run_alert_demo(
-                telemetry, packets=30_000, seed=7, webhook_url=receiver.url
-            )
-            problems = validate_alert_demo(telemetry, summary, expect_webhook=True)
-            assert problems == []
+            scenario = self._run(webhook_url=receiver.url)
+            assert scenario.webhook.sent > 0
+            assert scenario.problems() == []
             assert any(
                 body["alert"] == "entropy_collapse" and body["state"] == "firing"
                 for body in receiver.received

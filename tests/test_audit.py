@@ -430,13 +430,13 @@ class TestGuaranteeMonitor:
         ``guarantee_violation`` firing) plus a span with an inf field:
         every JSON route and every ``/trace`` line parses strictly."""
         from repro.telemetry import HistoryStore
-        from repro.telemetry.demo import run_audited_demo
+        from repro.telemetry.scenario import Scenario
 
         def reject(token):
             raise ValueError("non-standard JSON token %s" % token)
 
         telemetry = Telemetry()
-        run_audited_demo(telemetry, packets=20_000, corrupt=True)
+        Scenario("corrupt", telemetry, 20_000).run()
         with telemetry.start_span("epoch", observed=math.inf):
             pass
         manager = AlertManager(telemetry, health_rules())
@@ -938,10 +938,10 @@ class TestWiring:
 
 class TestDashboard:
     def _audited_snapshot(self):
-        from repro.telemetry.demo import run_audited_demo
+        from repro.telemetry.scenario import Scenario
 
         telemetry = Telemetry()
-        run_audited_demo(telemetry, packets=5_000, seed=7)
+        Scenario("clean", telemetry, 5_000, seed=7).run()
         AlertManager(telemetry, health_rules(error_slo=5.0)).evaluate()
         return telemetry
 

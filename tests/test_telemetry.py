@@ -402,7 +402,7 @@ class TestHTTPEndpoint:
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(base + "/nope")
         finally:
-            server.stop()
+            server.close()
 
 
 def _convergence_run() -> NitroSketch:
@@ -630,12 +630,38 @@ class TestIntegratedPipelineTelemetry:
         assert runs[0].fields["packets"] == 20_000
 
     def test_demo_run_validates(self):
-        from repro.telemetry.demo import run_demo, validate
+        from repro.telemetry.scenario import Scenario
 
         telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
-        summary = run_demo(telemetry, packets=20_000, seed=7)
-        assert summary["converged"]
-        assert validate(telemetry) == []
+        scenario = Scenario("clean", telemetry, 20_000, seed=7)
+        scenario.run()
+        assert scenario.monitor.converged
+        assert scenario.problems() == []
+
+    def test_control_plane_epochs_export_telemetry(self):
+        telemetry = Telemetry(spans=SpanTracer(wall_clock=FakeClock()))
+        task = HeavyHitterTask(0.005)
+        task.telemetry = telemetry
+        plane = ControlPlane(
+            lambda epoch: NitroSketch(CountSketch(4, 2048, seed=7), probability=0.1),
+            [task],
+            score=False,
+            telemetry=telemetry,
+        )
+        reports = plane.run_epochs(caida_like(20_000, n_flows=1_000, seed=7), 5_000)
+        assert len(reports) == 4
+
+        registry = telemetry.registry
+        assert registry.get("control_epochs_total").labels().value == 4
+        assert registry.get("control_epoch_seconds").labels().count == 4
+        task_seconds = registry.get("control_task_seconds")
+        assert task_seconds.labels(task="heavy_hitters").count == 4
+        epochs = telemetry.spans.spans(name="control.epoch")
+        assert [event.fields["epoch"] for event in epochs] == [0, 1, 2, 3]
+        assert {event.fields["packets"] for event in epochs} == {5_000}
+        tasks = telemetry.spans.spans(name="control.task")
+        assert [event.fields["epoch"] for event in tasks] == [0, 1, 2, 3]
+        assert {event.fields["task"] for event in tasks} == {"heavy_hitters"}
 
 
 class TestNonFiniteExposition:
@@ -691,7 +717,6 @@ class TestServerLifecycle:
         server.close()
         assert server.closed
         server.close()  # second close: no error, no hang
-        server.stop()  # alias keeps working too
 
     def test_close_without_start_does_not_hang(self):
         server = TelemetryServer(Telemetry(), port=0)
@@ -709,70 +734,41 @@ class TestServerLifecycle:
             assert not server.closed
         assert server.closed
 
-    def test_serve_forever_exits_on_close(self):
-        import threading
-
-        server = TelemetryServer(Telemetry(), port=0)
-        # install_sigint_handler from a non-main thread must be a no-op
-        # (signal.signal raises ValueError there), not a crash.
-        thread = threading.Thread(
-            target=lambda: server.serve_forever(install_sigint_handler=True),
-            daemon=True,
-        )
-        thread.start()
-        for _ in range(100):
-            try:
-                urllib.request.urlopen(
-                    "http://127.0.0.1:%d/metrics" % server.port, timeout=1
-                )
-                break
-            except OSError:
-                import time
-
-                time.sleep(0.01)
-        server.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert server.closed
-
     def test_sigint_triggers_graceful_shutdown(self):
+        """``telemetry --demo --serve`` answers /health 200 (the clean run
+        holds the views' error SLO), then exits 0 on SIGINT."""
+        import re
         import signal
         import subprocess
         import sys
-        import textwrap
-        import time
 
         import repro
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        script = textwrap.dedent(
-            """
-            import sys
-            from repro.telemetry import Telemetry, TelemetryServer
-
-            server = TelemetryServer(Telemetry(), port=0)
-            print(server.port, flush=True)
-            server.serve_forever(install_sigint_handler=True)
-            print("CLEAN-EXIT" if server.closed else "LEAKED", flush=True)
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
+            [sys.executable, "-m", "repro.cli", "telemetry", "--demo", "--packets",
+             "20000", "--serve", "--port", "0"],
+            stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
-            env=env,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
         )
         try:
-            port = int(proc.stdout.readline())
-            urllib.request.urlopen("http://127.0.0.1:%d/metrics" % port, timeout=5)
-            time.sleep(0.1)
+            port = None
+            for line in proc.stderr:
+                match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port is not None, "the server never announced its port"
+            url = "http://127.0.0.1:%d/health" % port
+            with urllib.request.urlopen(url, timeout=10) as reply:
+                assert reply.status == 200
             proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=10)
+            proc.communicate(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
-        assert b"CLEAN-EXIT" in out, (out, err)
         assert proc.returncode == 0
 
 
