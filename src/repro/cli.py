@@ -85,6 +85,7 @@ from typing import Optional
 from repro.core import NitroMode, nitro_countmin, nitro_countsketch, nitro_kary, nitro_univmon
 from repro.experiments.common import vanilla_monitor
 from repro.experiments.report import print_result
+from repro.faults.chaos import MIN_PACKETS as CHAOS_MIN_PACKETS
 from repro.metrics.accuracy import (
     empirical_entropy,
     heavy_hitter_truth,
@@ -137,6 +138,7 @@ FLAG_RANGES = {
     "profile": {"sample_every": ">= 1", "batch_size": ">= 1", "history_capacity": ">= 4"},
     "trace": {"workers": ">= 1", "batch_size": ">= 1"},
     "parallel": {"workers": ">= 1", "batch_size": ">= 1"},
+    "chaos": {"packets": ">= %d" % CHAOS_MIN_PACKETS},
 }
 
 #: The mean relative-error SLO behind the views' ``/health``.  A shadow

@@ -334,7 +334,9 @@ class NitroSketch(Monitor):
             self.ops.prng(len(positions))
 
             packet_idx = positions // depth
-            rows = positions % depth
+            # NumPy's int64 `%` by a scalar has no fast path; this is
+            # the same remainder for the non-negative positions.
+            rows = positions - packet_idx * depth
             inverse = 1.0 / probability
             if weights is None:
                 slot_weights = np.full(positions.shape, inverse, dtype=np.float64)

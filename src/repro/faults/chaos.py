@@ -62,6 +62,15 @@ from repro.traffic.replay import Replayer
 from repro.traffic.traces import caida_like
 
 
+#: ``window_corruption`` splits the trace into this many ring epochs ...
+WINDOW_EPOCHS = 4
+#: ... of at least this many packets each.
+MIN_EPOCH_PACKETS = 2_000
+#: The smallest trace every scenario runs on: the other scenarios'
+#: floors (frame sizes, checkpoint cadence) all lie below it.
+MIN_PACKETS = WINDOW_EPOCHS * MIN_EPOCH_PACKETS
+
+
 @dataclass
 class ChaosResult:
     """One scenario's verdict."""
@@ -328,9 +337,9 @@ class ChaosRunner:
         name = "window_corruption"
         from repro.control.windows import SlidingWindowMonitor
 
-        epochs = 4
+        epochs = WINDOW_EPOCHS
         epoch_packets = len(self.trace) // epochs
-        if epoch_packets < 2000:
+        if epoch_packets < MIN_EPOCH_PACKETS:
             return ChaosResult(name, False, "trace too small for %d epochs" % epochs)
         keys = self.trace.keys[: epochs * epoch_packets]
         window = SlidingWindowMonitor(

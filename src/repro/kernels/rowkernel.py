@@ -8,7 +8,9 @@ that into single NumPy expressions:
 
 * the per-row hash constants are gathered once into ``(depth, 1)``
   arrays, so hashing a batch against *every* row is one broadcast
-  multiply -- the Python analogue of the paper's AVX lanes (Idea D);
+  ufunc call per arithmetic step over a ``(depth, n)`` column block of
+  up to ``_HASH_BLOCK`` keys -- the Python analogue of the paper's AVX
+  lanes (Idea D);
 * counter updates become one flat-index scatter-add over the
   ``(depth * width,)`` view (``row * width + bucket``), via
   :func:`repro.kernels.scatter.scatter_add_2d`;
@@ -32,6 +34,12 @@ from repro.kernels.scatter import scatter_add_2d, scatter_add_flat
 
 _SHIFT_32 = np.uint64(32)
 _SHIFT_63 = np.uint64(63)
+
+#: Keys per column block of the multiply-shift matrices.  Each step is
+#: one broadcast call over a ``(depth, block)`` slice: whole-matrix
+#: steps outgrow the L2 cache past about 64k keys and then read slower
+#: than a loop over the rows, while smaller batches take one block.
+_HASH_BLOCK = 16384
 
 
 class SketchKernel:
@@ -65,11 +73,6 @@ class SketchKernel:
             self._hash_mode = "ms"
             self._ha = np.array([h._a for h in hashes], dtype=np.uint64)[:, None]
             self._hb = np.array([h._b for h in hashes], dtype=np.uint64)[:, None]
-            # Scalar (0-d) constants for the matrix paths: NumPy's SIMD
-            # inner loops only engage for scalar operands -- a stride-0
-            # broadcast of the (depth, 1) arrays runs ~3x slower.
-            self._ha_scalars = [h._a_u64 for h in hashes]
-            self._hb_scalars = [h._b_u64 for h in hashes]
         elif all(type(h) is XXHashRowHash for h in hashes):
             self._hash_mode = "xx"
             self._hseeds = np.array([h.seed for h in hashes], dtype=np.uint64)[:, None]
@@ -83,8 +86,6 @@ class SketchKernel:
             self._sign_mode = "ms"
             self._sa = np.array([g._hash._a for g in signs], dtype=np.uint64)[:, None]
             self._sb = np.array([g._hash._b for g in signs], dtype=np.uint64)[:, None]
-            self._sa_scalars = [g._hash._a_u64 for g in signs]
-            self._sb_scalars = [g._hash._b_u64 for g in signs]
         elif all(type(g) is XXHashRowSign and not g.constant_one for g in signs):
             self._sign_mode = "xx"
             self._sseeds = np.array([g.seed for g in signs], dtype=np.uint64)[:, None]
@@ -138,17 +139,23 @@ class SketchKernel:
         return (((mixed >> _SHIFT_32) * self._width_u64) >> _SHIFT_32).astype(np.int64)
 
     def _ms_bucket_matrix(self, ku: "np.ndarray") -> "np.ndarray":
+        """Every row's multiply-shift buckets, one broadcast call per step.
+
+        The ``(depth, 1)`` constants broadcast against the keys, so each
+        column block costs five ufunc calls whatever the depth; the
+        result is the ``bucket_out`` scratch buffer.
+        """
         shape = (self.depth, ku.shape[0])
         if self.width == 1:
             return np.zeros(shape, dtype=np.int64)
         work = self._scratch("bucket_work", shape, np.uint64)
-        for r in range(self.depth):
-            row = work[r]
-            np.multiply(ku, self._ha_scalars[r], out=row)
-            row += self._hb_scalars[r]
-            row >>= _SHIFT_32
-            row *= self._width_u64
-            row >>= _SHIFT_32
+        for start in range(0, shape[1], _HASH_BLOCK):
+            block = work[:, start : start + _HASH_BLOCK]
+            np.multiply(self._ha, ku[start : start + _HASH_BLOCK], out=block)
+            block += self._hb
+            block >>= _SHIFT_32
+            block *= self._width_u64
+            block >>= _SHIFT_32
         out = self._scratch("bucket_out", shape, np.int64)
         np.copyto(out, work, casting="unsafe")
         return out
@@ -206,13 +213,16 @@ class SketchKernel:
         return (bit * 2 - 1).astype(np.float64)
 
     def _ms_sign_matrix(self, ku: "np.ndarray") -> "np.ndarray":
+        """Every row's ±1 signs: bit 63 of ``a*key + b``, as in
+        :meth:`_ms_signs`, from three broadcast calls per column block;
+        the result is the ``sign_out`` scratch buffer."""
         shape = (self.depth, ku.shape[0])
         bits = self._scratch("sign_work", shape, np.uint64)
-        for r in range(self.depth):
-            row = bits[r]
-            np.multiply(ku, self._sa_scalars[r], out=row)
-            row += self._sb_scalars[r]
-            row >>= _SHIFT_63
+        for start in range(0, shape[1], _HASH_BLOCK):
+            block = bits[:, start : start + _HASH_BLOCK]
+            np.multiply(self._sa, ku[start : start + _HASH_BLOCK], out=block)
+            block += self._sb
+            block >>= _SHIFT_63
         signs = self._scratch("sign_out", shape, np.float64)
         np.copyto(signs, bits, casting="unsafe")
         signs *= 2.0

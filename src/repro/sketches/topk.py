@@ -105,14 +105,21 @@ class TopK:
 
         Leaves the heap list, the dict's item order and every ``ops``
         field exactly as ``for key, est in zip(keys, estimates):
-        offer(key, est)`` would, but runs :meth:`offer` only for the keys
-        that can change the store.  Once the store holds ``k`` keys, its
-        live minimum ``m`` never decreases, so an untracked key with
-        ``estimate <= m`` is rejected at its turn whatever came before it.
-        Such a reject only probes the table and pops stale entries off
-        the heap top; one :meth:`_peek_valid` per run of rejects, at the
-        run's place in the sequence, replays that exactly.  Tracked keys
-        are always offered: a no-op re-offer must not pop stale entries.
+        offer(key, est)`` would, but walks only the keys that can change
+        the store, in one loop that inlines :meth:`_offer`.
+
+        While the store holds fewer than ``k`` keys (the fill), every key
+        is admitted or re-offered, so the walk takes every key up to the
+        untracked one that fills it.  From then on the live minimum never
+        decreases and is at least ``floor``, the smaller of the heap top
+        and the fill's new estimates, so an untracked key with
+        ``estimate <= floor`` is rejected at its turn whatever came
+        before it.  Such a reject only probes the table and pops stale
+        entries off the heap top; popping them once per run of rejects,
+        at the run's place in the sequence, replays that exactly.
+        Tracked keys are always walked: a no-op re-offer must not pop
+        stale entries.  Table probes and heap operations are billed once
+        per call, in the scalar loop's totals.
         """
         keys = np.asarray(keys)
         estimates = np.asarray(estimates, dtype=np.float64)
@@ -125,32 +132,70 @@ class TopK:
             raise ValueError("offer_batch keys must be strictly ascending")
         if not bool(np.isfinite(estimates).all()):
             raise ValueError("TopK estimates must be finite")
-        start = 0
-        while start < count and len(self._best) < self.k:
-            self._offer(int(keys[start]), float(estimates[start]))
-            start += 1
-        if start == count:
+        if count == 0:
             return
-        # Full store: read the live minimum without popping, since the
-        # scalar loop may leave stale entries that checkpoints serialize.
-        floor = min(self._best.values())
-        rest, rest_estimates = keys[start:], estimates[start:]
-        candidate = rest_estimates > floor
-        tracked = np.fromiter(self._best, dtype=rest.dtype, count=len(self._best))
-        slots = np.minimum(np.searchsorted(rest, tracked), len(rest) - 1)
-        candidate[slots[rest[slots] == tracked]] = True
-        picked = np.flatnonzero(candidate)
-        self.ops.table_lookup(len(rest) - len(picked))
-        expected = 0  # position right after the previous candidate
+        best = self._best
+        k = self.k
+        heap = self._heap
+        # Every tracked key has a live heap entry, so the heap top bounds
+        # the live minimum from below.  It is read without popping, since
+        # the scalar loop may leave stale entries that checkpoints
+        # serialize.
+        floor = heap[0][0] if heap else math.inf
+        tracked = np.zeros(count, dtype=bool)
+        if best:
+            stored = np.fromiter(best, dtype=keys.dtype, count=len(best))
+            slots = keys[:-1].searchsorted(stored)  # always a valid index
+            tracked[slots[keys[slots] == stored]] = True
+        picked = tracked
+        if len(best) < k:
+            filling = np.flatnonzero(~tracked)[: k - len(best)]
+            if len(filling):
+                floor = min(floor, float(estimates[filling].min()))
+                picked[: filling[-1] + 1] = True
+        picked = np.flatnonzero(picked | (estimates > floor))
+        get = best.get
+        push = heapq.heappush
+        pop = heapq.heappop
+        bound = COMPACT_FACTOR * k
+        heap_ops = 0
+        expected = 0  # position right after the previous walked key
         for index, key, estimate in zip(
-            picked.tolist(), rest[picked].tolist(), rest_estimates[picked].tolist()
+            picked.tolist(), keys[picked].tolist(), estimates[picked].tolist()
         ):
             if index != expected:
-                self._peek_valid()  # the rejects in between
-            self._offer(key, estimate)
+                # The rejects in between pop stale entries off the top.
+                while get(heap[0][1]) != heap[0][0]:
+                    pop(heap)
             expected = index + 1
-        if expected != len(rest):
-            self._peek_valid()
+            current = get(key)
+            if current is not None:
+                if estimate <= current:
+                    continue
+                heap_ops += 1
+            elif len(best) < k:
+                heap_ops += 1
+            else:
+                while get(heap[0][1]) != heap[0][0]:
+                    pop(heap)
+                smallest, evicted = heap[0]
+                if estimate <= smallest:
+                    continue
+                pop(heap)
+                del best[evicted]
+                heap_ops += 2
+            best[key] = estimate
+            push(heap, (estimate, key))
+            if len(heap) > bound:
+                heap = [(value, tracked_key) for tracked_key, value in best.items()]
+                heapq.heapify(heap)
+                self._heap = heap
+                heap_ops += 1
+        if expected != count:
+            while get(heap[0][1]) != heap[0][0]:
+                pop(heap)
+        self.ops.table_lookup(count)
+        self.ops.heap_op(heap_ops)
 
     def offer_distinct(self, keys, estimate_batch, probes: int) -> None:
         """Offer each distinct value of ``keys`` once, with its estimate.

@@ -227,12 +227,15 @@ class _Timer:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._telemetry.observe(
-            self._name,
-            time.perf_counter() - self._start,
-            buckets=self._buckets,
-            **self._labels,
-        )
+        elapsed = time.perf_counter() - self._start
+        # Telemetry.observe's body, fed the label dict built at timer()
+        # rather than packing it through keywords a second time.
+        registry = self._telemetry.registry
+        with registry.lock:
+            registry.child(
+                "histogram", self._name, self._labels,
+                METRIC_HELP.get(self._name, ""), self._buckets,
+            ).observe(elapsed)
 
 
 class Telemetry:

@@ -24,6 +24,8 @@ CASES = [
     (["trace", "--batch-size", "0"], "--batch-size"),
     (["parallel", "--workers", "0"], "--workers"),
     (["parallel", "--batch-size", "0"], "--batch-size"),
+    (["chaos", "--packets", "0"], "--packets"),
+    (["chaos", "--packets", "7999"], "--packets"),
 ]
 
 

@@ -285,6 +285,25 @@ def test_kernel_matrices_match_scalar_rows(sketch_cls, family):
             )
 
 
+@pytest.mark.parametrize("sketch_cls", [CountMinSketch, CountSketch])
+def test_kernel_matrices_span_column_blocks(sketch_cls):
+    """A batch longer than one hash block hashes like the row families'
+    own batch paths, block seams included."""
+    from repro.kernels.rowkernel import _HASH_BLOCK
+
+    sketch = sketch_cls(depth=4, width=512, seed=17)
+    keys = _keys(2 * _HASH_BLOCK + 3, seed=14)
+    buckets = sketch.kernel.bucket_matrix(keys)
+    np.testing.assert_array_equal(
+        buckets, np.stack([h.batch(keys) for h in sketch.row_hashes])
+    )
+    signs = sketch.kernel.sign_matrix(keys)
+    if sketch.signed:
+        np.testing.assert_array_equal(
+            signs, np.stack([g.batch(keys) for g in sketch.row_signs])
+        )
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("signed", [False, True])
 def test_kernel_slot_paths_match_scalar(family, signed):

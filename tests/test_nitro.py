@@ -437,7 +437,7 @@ class TestBatchTopKAdmission:
 
     @pytest.mark.parametrize("top_k", [5, 100])
     @pytest.mark.parametrize("mode", [NitroMode.FIXED, NitroMode.ALWAYS_CORRECT])
-    @pytest.mark.parametrize("sketch_cls", [CountSketch, CountMinSketch])
+    @pytest.mark.parametrize("sketch_cls", [CountSketch, CountMinSketch, KArySketch])
     def test_nitro_sketch_and_mode_matrix(self, monkeypatch, sketch_cls, mode, top_k):
         from repro.control.export import serialize_monitor
 
@@ -519,10 +519,38 @@ def _numpy_geometric_gaps(probability, size, rng):
     return rng.geometric(probability, size=size)
 
 
+def _per_row_bucket_matrix(self, ku):
+    """The per-row loop ``SketchKernel._ms_bucket_matrix`` replaced."""
+    shape = (self.depth, ku.shape[0])
+    if self.width == 1:
+        return np.zeros(shape, dtype=np.int64)
+    work = np.empty(shape, dtype=np.uint64)
+    for r in range(self.depth):
+        row = work[r]
+        np.multiply(ku, self._ha[r, 0], out=row)
+        row += self._hb[r, 0]
+        row >>= np.uint64(32)
+        row *= self._width_u64
+        row >>= np.uint64(32)
+    return work.astype(np.int64)
+
+
+def _per_row_sign_matrix(self, ku):
+    """The per-row loop ``SketchKernel._ms_sign_matrix`` replaced."""
+    bits = np.empty((self.depth, ku.shape[0]), dtype=np.uint64)
+    for r in range(self.depth):
+        row = bits[r]
+        np.multiply(ku, self._sa[r, 0], out=row)
+        row += self._sb[r, 0]
+        row >>= np.uint64(63)
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
 class TestExactQueryAndDrawKernels:
-    """The batch-query and geometric-draw kernels are exact: checkpoint
-    bytes and op counts equal a run through ``np.sort``'s lower median,
-    the 2-D fancy-index gather and ``rng.geometric``."""
+    """The batch-query, row-hash and geometric-draw kernels are exact:
+    checkpoint bytes and op counts equal a run through ``np.sort``'s
+    lower median, the 2-D fancy-index gather, the per-row hash loops and
+    ``rng.geometric``."""
 
     @staticmethod
     def _twin_runs(monkeypatch, run):
@@ -537,6 +565,8 @@ class TestExactQueryAndDrawKernels:
             for module in (countsketch_module, kary_module):
                 patch.setattr(module, "lower_median_rows", _sort_lower_median)
             patch.setattr(SketchKernel, "estimate_matrix", _fancy_estimate_matrix)
+            patch.setattr(SketchKernel, "_ms_bucket_matrix", _per_row_bucket_matrix)
+            patch.setattr(SketchKernel, "_ms_sign_matrix", _per_row_sign_matrix)
             patch.setattr(geometric_module, "geometric_gaps", _numpy_geometric_gaps)
             reference = run()
         return fast, reference
